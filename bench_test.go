@@ -87,7 +87,7 @@ func BenchmarkExactTree(b *testing.B) {
 			q := keysQuery()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sem, err := core.ComputeTree(inst, generators.Uniform{}, markov.ExploreOptions{})
+				sem, err := core.ComputeTreeMode(inst, generators.Uniform{}, markov.ExploreOptions{}, core.WalkInduced)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func BenchmarkExactDAG(b *testing.B) {
 			q := keysQuery()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sem, err := core.ComputeDAG(inst, generators.Uniform{}, markov.ExploreOptions{})
+				sem, err := core.ComputeDAGMode(inst, generators.Uniform{}, markov.ExploreOptions{}, core.WalkInduced)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -161,7 +161,7 @@ func BenchmarkDAGCertain(b *testing.B) {
 			q := keysQuery()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sem, err := core.ComputeDAG(inst, generators.Uniform{}, markov.ExploreOptions{})
+				sem, err := core.ComputeDAGMode(inst, generators.Uniform{}, markov.ExploreOptions{}, core.WalkInduced)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -176,7 +176,7 @@ func BenchmarkDAGCertain(b *testing.B) {
 // BenchmarkUniformExactDAG measures the exact sequence-uniform semantics
 // on the conflict-chain workload: the same DAG exploration as the
 // walk-induced mode, plus the count-ratio reweighting — the mode should be
-// essentially free relative to ComputeDAG.
+// essentially free relative to the walk-induced mode.
 func BenchmarkUniformExactDAG(b *testing.B) {
 	for _, facts := range []int{6, 9, 12} {
 		b.Run(fmt.Sprintf("facts=%d", facts), func(b *testing.B) {

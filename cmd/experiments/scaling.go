@@ -374,7 +374,7 @@ func init() {
 			treeTime := "(skipped)"
 			if k <= 5 {
 				start = time.Now()
-				if _, err := core.ComputeTree(inst, generators.Uniform{}, markov.ExploreOptions{}); err != nil {
+				if _, err := core.ComputeTreeMode(inst, generators.Uniform{}, markov.ExploreOptions{}, core.WalkInduced); err != nil {
 					return err
 				}
 				treeTime = time.Since(start).Round(time.Microsecond).String()

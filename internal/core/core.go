@@ -88,10 +88,8 @@ func Compute(inst *repair.Instance, g markov.Generator, opt markov.ExploreOption
 // SequenceUniform the chain's support is explored exactly like the
 // walk-induced case (the support does not depend on the mode), but every
 // repair is weighted by its share of complete sequences instead of its
-// walk mass π — the DAG engine reads the weights off the propagated
-// big.Int sequence counts, and the tree engine counts leaves directly
-// (each tree leaf is one sequence), which doubles as the brute-force
-// reference the equivalence suite checks the DAG against.
+// walk mass π — read off the exact big.Int sequence counts both engines
+// return per result database.
 func ComputeMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
 	if markov.Collapsible(inst, g) {
 		return ComputeDAGMode(inst, g, opt, mode)
@@ -99,115 +97,54 @@ func ComputeMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOp
 	return ComputeTreeMode(inst, g, opt, mode)
 }
 
-// ComputeTree assembles the walk-induced semantics from the sequence-tree
-// walk of Definition 5 — the reference engine, correct for every
-// generator. Tests and benchmarks call it directly to compare against
-// ComputeDAG.
-func ComputeTree(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions) (*Semantics, error) {
-	return ComputeTreeMode(inst, g, opt, WalkInduced)
-}
-
-// ComputeTreeMode is ComputeTree under an explicit semantics mode. With
-// SequenceUniform it *is* brute-force sequence enumeration: every leaf of
-// the tree is one complete sequence, so uniform probabilities are exact
-// leaf-count ratios.
+// ComputeTreeMode assembles the semantics from the sequence-tree walk of
+// Definition 5 (markov.Explore) — the reference engine, correct for every
+// generator. With SequenceUniform it *is* brute-force sequence
+// enumeration: every tree leaf is one complete sequence, so uniform
+// probabilities are exact leaf-count ratios. Tests and benchmarks call it
+// directly to compare against ComputeDAGMode.
 func ComputeTreeMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
-	leaves, err := markov.Explore(inst, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	type agg struct {
-		db   *relation.Database
-		key  string // legacy database key, for the reported repair order
-		p    prob.Rat
-		seqs int
-	}
-	// Leaves are merged by the packed binary Database.IDKey (cheap, id-order
-	// grouping ≡ legacy Key grouping); the human-readable Key is computed
-	// once per distinct repair, only to report Repairs in the documented
-	// database-key order.
-	byDB := map[string]*agg{}
-	sem := &Semantics{SuccessP: prob.Zero(), FailP: prob.Zero()}
-	for _, leaf := range leaves {
-		if opt.TrackLengths {
-			l := leaf.State.Len()
-			for len(sem.SequencesByLength) < l+1 {
-				sem.SequencesByLength = append(sem.SequencesByLength, new(big.Int))
-			}
-			// Each tree leaf is exactly one complete sequence.
-			sem.SequencesByLength[l].Add(sem.SequencesByLength[l], big.NewInt(1))
-		}
-		sem.AbsorbingStates++
-		if !leaf.State.IsSuccessful() {
-			sem.FailingStates++
-			sem.FailP.Add(sem.FailP, leaf.Pi)
-			continue
-		}
-		sem.SuccessP.Add(sem.SuccessP, leaf.Pi)
-		db := leaf.State.Result()
-		k := db.IDKey()
-		a, ok := byDB[k]
-		if !ok {
-			a = &agg{db: db.Clone()}
-			a.key = a.db.Key()
-			byDB[k] = a
-		}
-		a.p.AddBig(leaf.Pi)
-		a.seqs++
-	}
-	aggs := make([]*agg, 0, len(byDB))
-	for _, a := range byDB {
-		aggs = append(aggs, a)
-	}
-	sort.Slice(aggs, func(i, j int) bool { return aggs[i].key < aggs[j].key })
-	for _, a := range aggs {
-		sem.Repairs = append(sem.Repairs, Repair{
-			DB: a.db, P: a.p.Big(), Sequences: a.seqs, SeqCount: big.NewInt(int64(a.seqs)),
-		})
-	}
-	sem.TotalSequences = big.NewInt(int64(len(leaves)))
-	sem.FailingSequences = big.NewInt(int64(sem.FailingStates))
-	return applyMode(sem, mode), nil
+	return assemble(markov.Explore, inst, g, opt, mode)
 }
 
-// ComputeDAG assembles the walk-induced semantics from the DAG-collapsed
-// exploration. It returns markov.ErrNotCollapsible for chains the DAG
-// cannot represent (history-dependent generators, TGDs); Compute handles
-// the fallback.
-//
-// The DAG merges absorbing sequences by result database, so each leaf is
-// already one repair; the sequence statistics (Repair.Sequences,
-// AbsorbingStates, FailingStates) are recovered from the propagated path
-// counts and saturate at the int limit when the collapsed tree is larger
-// than 2^63 sequences — sizes the tree engine could never enumerate. The
-// exact counts survive in Repair.SeqCount / Semantics.TotalSequences.
-func ComputeDAG(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions) (*Semantics, error) {
-	return ComputeDAGMode(inst, g, opt, WalkInduced)
-}
-
-// ComputeDAGMode is ComputeDAG under an explicit semantics mode. The
-// sequence-uniform weights reuse the big.Int path counts the exploration
-// propagates anyway, so the uniform semantics costs the same as the
-// walk-induced one — and stays exact at sizes where the counts exceed
-// 2^63 and brute-force enumeration is unthinkable.
+// ComputeDAGMode assembles the semantics from the DAG-collapsed
+// exploration (markov.ExploreDAG). It returns markov.ErrNotCollapsible for
+// chains the DAG cannot represent (history-dependent generators, TGDs);
+// ComputeMode handles the fallback. The sequence-uniform weights reuse the
+// big.Int path counts the exploration propagates anyway, so the uniform
+// semantics costs the same as the walk-induced one — and stays exact at
+// sizes where the counts exceed 2^63 and brute-force enumeration is
+// unthinkable.
 func ComputeDAGMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
-	dag, err := markov.ExploreDAG(inst, g, opt)
+	return assemble(markov.ExploreDAG, inst, g, opt, mode)
+}
+
+// assemble runs one exact exploration and builds [[D]]_{MΣ} from its
+// leaves, one per result database. The sequence statistics
+// (Repair.Sequences, AbsorbingStates, FailingStates) are recovered from
+// the leaves' sequence counts and saturate at the int limit when the chain
+// has more than 2^63 sequences — sizes the tree engine could never
+// enumerate; the exact counts survive in Repair.SeqCount and
+// Semantics.TotalSequences. The walk-induced masses fall out of the
+// exploration; the sequence-uniform mode replaces every probability with
+// the corresponding exact sequence-count ratio.
+func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOptions) (*markov.DAG, error),
+	inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
+	dag, err := explore(inst, g, opt)
 	if err != nil {
 		return nil, err
 	}
-	sem := &Semantics{}
+	sem := &Semantics{Mode: mode}
 	absorbing, failing := new(big.Int), new(big.Int)
 	var succP, failP prob.Rat
 	var repairKeys []string
 	for _, leaf := range dag.Leaves {
 		absorbing.Add(absorbing, leaf.Sequences)
-		if opt.TrackLengths {
-			for len(sem.SequencesByLength) < len(leaf.SeqsByLength) {
-				sem.SequencesByLength = append(sem.SequencesByLength, new(big.Int))
-			}
-			for l, cnt := range leaf.SeqsByLength {
-				sem.SequencesByLength[l].Add(sem.SequencesByLength[l], cnt)
-			}
+		for len(sem.SequencesByLength) < len(leaf.SeqsByLength) {
+			sem.SequencesByLength = append(sem.SequencesByLength, new(big.Int))
+		}
+		for l, cnt := range leaf.SeqsByLength {
+			sem.SequencesByLength[l].Add(sem.SequencesByLength[l], cnt)
 		}
 		if !leaf.State.IsSuccessful() {
 			failing.Add(failing, leaf.Sequences)
@@ -215,8 +152,8 @@ func ComputeDAGMode(inst *repair.Instance, g markov.Generator, opt markov.Explor
 			continue
 		}
 		succP.AddBig(leaf.Pi)
-		// The DAG's leaves are materialized fresh for this exploration and
-		// the dag value never escapes, so the semantics adopts leaf.Pi and
+		// The leaves are materialized fresh for this exploration and the
+		// dag value never escapes, so the semantics adopts leaf.Pi and
 		// leaf.Sequences instead of copying them.
 		sem.Repairs = append(sem.Repairs, Repair{
 			DB:        leaf.State.Result().Clone(),
@@ -231,34 +168,19 @@ func ComputeDAGMode(inst *repair.Instance, g markov.Generator, opt markov.Explor
 	sem.FailingStates = satInt(failing)
 	sem.TotalSequences = absorbing
 	sem.FailingSequences = failing
-	// Leaves arrive in level order; repairs are reported in database-key
-	// order like the tree engine.
+	// Leaves arrive in exploration order; repairs are reported in
+	// database-key order.
 	sort.Sort(&repairsByKey{keys: repairKeys, repairs: sem.Repairs})
-	return applyMode(sem, mode), nil
-}
-
-// applyMode finalizes the semantics for the requested mode. The engines
-// always assemble the walk-induced masses (they fall out of the
-// exploration for free); the sequence-uniform mode replaces every
-// probability with the corresponding exact sequence-count ratio.
-func applyMode(sem *Semantics, mode SemanticsMode) *Semantics {
-	sem.Mode = mode
-	if mode != SequenceUniform {
-		return sem
+	if mode == SequenceUniform && absorbing.Sign() != 0 {
+		// absorbing is never 0: every chain has at least the shortest
+		// complete sequence (the empty one, when D is consistent).
+		for i := range sem.Repairs {
+			sem.Repairs[i].P = new(big.Rat).SetFrac(sem.Repairs[i].SeqCount, absorbing)
+		}
+		sem.SuccessP = new(big.Rat).SetFrac(new(big.Int).Sub(absorbing, failing), absorbing)
+		sem.FailP = new(big.Rat).SetFrac(failing, absorbing)
 	}
-	total := sem.TotalSequences
-	if total.Sign() == 0 {
-		// Cannot happen: every chain has at least the shortest complete
-		// sequence (the empty one, when D is consistent).
-		return sem
-	}
-	for i := range sem.Repairs {
-		sem.Repairs[i].P = new(big.Rat).SetFrac(sem.Repairs[i].SeqCount, total)
-	}
-	success := new(big.Int).Sub(total, sem.FailingSequences)
-	sem.SuccessP = new(big.Rat).SetFrac(success, total)
-	sem.FailP = new(big.Rat).SetFrac(sem.FailingSequences, total)
-	return sem
+	return sem, nil
 }
 
 // repairsByKey sorts repairs by precomputed database key (Database.Key

@@ -123,11 +123,11 @@ func checkEngines(t *testing.T, label string, inst *repair.Instance, g markov.Ge
 		t.Fatalf("%s: expected a collapsible chain", label)
 	}
 	opt := markov.ExploreOptions{MaxStates: 2_000_000}
-	tree, err := core.ComputeTree(inst, g, opt)
+	tree, err := core.ComputeTreeMode(inst, g, opt, core.WalkInduced)
 	if err != nil {
 		t.Fatalf("%s: tree: %v", label, err)
 	}
-	dag, err := core.ComputeDAG(inst, g, opt)
+	dag, err := core.ComputeDAGMode(inst, g, opt, core.WalkInduced)
 	if err != nil {
 		t.Fatalf("%s: dag: %v", label, err)
 	}
@@ -216,11 +216,11 @@ func TestDAGEquivalencePreferenceParallelStress(t *testing.T) {
 	})
 	inst := repair.MustInstance(d, sigma)
 	gen := generators.Preference{}
-	one, err := core.ComputeDAG(inst, gen, markov.ExploreOptions{Workers: 1})
+	one, err := core.ComputeDAGMode(inst, gen, markov.ExploreOptions{Workers: 1}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := core.ComputeDAG(inst, gen, markov.ExploreOptions{Workers: 8})
+	eight, err := core.ComputeDAGMode(inst, gen, markov.ExploreOptions{Workers: 8}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDAGEquivalencePreferenceParallelStress(t *testing.T) {
 	if len(one.Repairs) < 16 {
 		t.Fatalf("instance too small to exercise the worker pool: %d repairs", len(one.Repairs))
 	}
-	tree, err := core.ComputeTree(inst, gen, markov.ExploreOptions{MaxStates: 2_000_000})
+	tree, err := core.ComputeTreeMode(inst, gen, markov.ExploreOptions{MaxStates: 2_000_000}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +288,11 @@ func TestHistoryDependentGeneratorFallsBackToTree(t *testing.T) {
 	if markov.Collapsible(inst, gen) {
 		t.Fatal("history-dependent generator must not be collapsible")
 	}
-	if _, err := core.ComputeDAG(inst, gen, markov.ExploreOptions{}); !errors.Is(err, markov.ErrNotCollapsible) {
-		t.Fatalf("ComputeDAG err = %v, want ErrNotCollapsible", err)
+	if _, err := core.ComputeDAGMode(inst, gen, markov.ExploreOptions{}, core.WalkInduced); !errors.Is(err, markov.ErrNotCollapsible) {
+		t.Fatalf("ComputeDAGMode err = %v, want ErrNotCollapsible", err)
 	}
 
-	tree, err := core.ComputeTree(inst, gen, markov.ExploreOptions{})
+	tree, err := core.ComputeTreeMode(inst, gen, markov.ExploreOptions{}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestHistoryDependentGeneratorFallsBackToTree(t *testing.T) {
 
 	// (c): merging states by database under this generator is wrong, so the
 	// Markovian gate is doing real work.
-	collapsed, err := core.ComputeDAG(inst, lyingMarkovian{}, markov.ExploreOptions{})
+	collapsed, err := core.ComputeDAGMode(inst, lyingMarkovian{}, markov.ExploreOptions{}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}

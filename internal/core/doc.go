@@ -22,6 +22,8 @@
 //     TGD-free Σ) route to the DAG engine; everything else takes the
 //     sequence tree.
 //   - ComputeTreeMode / ComputeDAGMode: the two engines, mode-threaded.
+//     Both explorations return a *markov.DAG of leaves merged by result
+//     database, and one assembly turns either into a Semantics.
 //     The tree under SequenceUniform *is* brute-force sequence
 //     enumeration; the DAG reads uniform weights off the propagated
 //     sequence counts, so the uniform mode is exact even when the counts

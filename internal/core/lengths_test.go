@@ -20,11 +20,11 @@ func TestSequencesByLength(t *testing.T) {
 	inst := repair.MustInstance(d, sigma)
 	opt := markov.ExploreOptions{TrackLengths: true, MaxStates: 100000}
 
-	tree, err := core.ComputeTree(inst, generators.Uniform{}, opt)
+	tree, err := core.ComputeTreeMode(inst, generators.Uniform{}, opt, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dag, err := core.ComputeDAG(inst, generators.Uniform{}, opt)
+	dag, err := core.ComputeDAGMode(inst, generators.Uniform{}, opt, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSequencesByLength(t *testing.T) {
 	}
 
 	// Untracked runs leave the histogram nil.
-	plain, err := core.ComputeDAG(inst, generators.Uniform{}, markov.ExploreOptions{})
+	plain, err := core.ComputeDAGMode(inst, generators.Uniform{}, markov.ExploreOptions{}, core.WalkInduced)
 	if err != nil {
 		t.Fatal(err)
 	}

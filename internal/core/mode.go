@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/markov"
+import (
+	"fmt"
+
+	"repro/internal/markov"
+)
 
 // SemanticsMode selects which distribution over complete repairing
 // sequences the semantics is computed under. It is an alias of
@@ -20,8 +24,16 @@ const (
 	SequenceUniform = markov.SequenceUniform
 )
 
-// ParseSemanticsMode maps the CLI spellings "walk" / "uniform" (and long
-// forms) to a mode.
+// ParseSemanticsMode maps a CLI name to a mode. It accepts the canonical
+// spellings "walk" and "uniform" plus the long forms "walk-induced" and
+// "sequence-uniform"; the empty string means walk.
 func ParseSemanticsMode(s string) (SemanticsMode, error) {
-	return markov.ParseSemanticsMode(s)
+	switch s {
+	case "walk", "walk-induced", "":
+		return WalkInduced, nil
+	case "uniform", "sequence-uniform":
+		return SequenceUniform, nil
+	default:
+		return 0, fmt.Errorf("core: unknown semantics mode %q (want walk or uniform)", s)
+	}
 }

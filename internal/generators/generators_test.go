@@ -130,11 +130,11 @@ func TestTrustSemanticsSumToOne(t *testing.T) {
 	)
 	inst := repair.MustInstance(d, constraint.NewSet(eta))
 	gen := NewTrust(big.NewRat(2, 3))
-	dist, err := markov.HittingDistribution(inst, gen, markov.ExploreOptions{MaxStates: 100000})
+	dist, err := markov.Explore(inst, gen, markov.ExploreOptions{MaxStates: 100000})
 	if err != nil {
-		t.Fatalf("HittingDistribution: %v", err)
+		t.Fatalf("Explore: %v", err)
 	}
-	if len(dist) == 0 {
+	if len(dist.Leaves) == 0 {
 		t.Fatal("no absorbing states")
 	}
 }
@@ -310,16 +310,16 @@ func TestExploreBudget(t *testing.T) {
 // of the key instance are 1/3 each and sum to 1 (Proposition 3).
 func TestHittingDistributionUniform(t *testing.T) {
 	inst := keyInstance(t)
-	dist, err := markov.HittingDistribution(inst, Uniform{}, markov.ExploreOptions{})
+	dist, err := markov.Explore(inst, Uniform{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dist) != 3 {
-		t.Fatalf("got %d absorbing states, want 3", len(dist))
+	if len(dist.Leaves) != 3 {
+		t.Fatalf("got %d absorbing states, want 3", len(dist.Leaves))
 	}
-	for k, leaf := range dist {
+	for _, leaf := range dist.Leaves {
 		if leaf.Pi.Cmp(big.NewRat(1, 3)) != 0 {
-			t.Errorf("π(%s) = %s, want 1/3", k, leaf.Pi.RatString())
+			t.Errorf("π(%s) = %s, want 1/3", leaf.Key, leaf.Pi.RatString())
 		}
 	}
 }
@@ -334,8 +334,14 @@ func TestTreeRender(t *testing.T) {
 	if tree.CountStates() != 4 {
 		t.Errorf("CountStates = %d, want 4", tree.CountStates())
 	}
-	if len(tree.Leaves()) != 3 {
-		t.Errorf("Leaves = %d, want 3", len(tree.Leaves()))
+	leaves := 0
+	for _, c := range tree.Children {
+		if c.Node.IsLeaf() {
+			leaves++
+		}
+	}
+	if leaves != 3 {
+		t.Errorf("leaves = %d, want 3", leaves)
 	}
 	r := tree.Render()
 	for _, want := range []string{"ε", "-R(a, b)", "-R(a, c)", "[absorbing]", "1/3"} {

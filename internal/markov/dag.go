@@ -38,8 +38,9 @@ import (
 // presentation boundary: DAGLeaf.Key is converted once per absorbing
 // database when the leaf is emitted.
 //
-// Each level is processed in three phases. Phase 1 (parallel): every
-// frontier node resolves its edges via Step and derives each edge's packed
+// Each level is processed in three phases by sweep, which ExploreDAG and
+// BuildSequenceDAG share. Phase 1 (parallel): every frontier node resolves
+// its edges via stepRats and derives each edge's packed
 // child key into a per-node byte arena — no child states yet. Phase 2
 // (sequential, sorted-key order): edges are merged into child nodes,
 // accumulating π with the small-rational fast path (prob.Rat) and sequence
@@ -56,8 +57,8 @@ import (
 // The propagated per-leaf sequence counts are load-bearing beyond
 // statistics: the sequence-uniform semantics (core.ComputeDAGMode with
 // SequenceUniform) weighs each repair by Sequences/ΣSequences, and
-// seqdag.go runs the mirror-image upward sweep over the same structure to
-// sample complete sequences uniformly.
+// seqdag.go runs the same downward sweep, then the mirror-image upward
+// pass over the recorded structure to sample complete sequences uniformly.
 
 // ErrNotCollapsible is returned when ExploreDAG is asked to collapse a
 // chain whose states are not interchangeable by database: a generator that
@@ -65,7 +66,7 @@ import (
 // (whose histories prune extensions). Callers should fall back to Explore.
 var ErrNotCollapsible = errors.New("markov: chain does not collapse to a DAG; use the sequence-tree engine")
 
-// DAGLeaf is one absorbing database of the collapsed chain: a witness
+// DAGLeaf is one absorbing database of the chain: a witness
 // absorbing state (one representative sequence producing the database), the
 // database's canonical string key (converted from the engine's packed merge
 // key once, here, so consumers need not re-encode the database), the total
@@ -82,16 +83,17 @@ type DAGLeaf struct {
 	SeqsByLength []*big.Int
 }
 
-// DAG summarizes a collapsed exploration.
+// DAG summarizes an exact exploration: the result of both ExploreDAG and
+// the sequence-tree walk Explore.
 type DAG struct {
 	// Leaves lists the absorbing databases in deterministic order, one
 	// entry per distinct result (leaves are merged by database identity, so
 	// no two entries share a database).
 	Leaves []DAGLeaf
-	// States counts the distinct databases visited, including the root;
-	// this is the quantity that replaces the tree's sequence count.
+	// States counts the states visited, including the root: distinct
+	// databases for ExploreDAG, sequences for Explore.
 	States int
-	// Edges counts the positive-probability transitions of the DAG.
+	// Edges counts the positive-probability transitions explored.
 	Edges int
 	// Sequences is the total number of absorbing sequences of the
 	// underlying tree (Σ leaf sequence counts) — the size of the
@@ -150,8 +152,62 @@ type creator struct {
 // the number of distinct databases; opt.Workers sizes the per-level worker
 // pool. The result is bit-identical for every worker count.
 func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, error) {
+	dag := &DAG{Sequences: new(big.Int)}
+	// total accumulates the emitted leaf mass for the Proposition 3 sanity
+	// check, entirely on the small-rational fast path.
+	var total prob.Rat
+	var err error
+	dag.States, dag.Edges, err = sweep(inst, g, opt, func(n *dagNode, edges []ratEdge) {
+		if len(edges) > 0 {
+			return
+		}
+		// Absorbing: convert the packed merge key to the canonical string
+		// key — the engine's only legacy-key encoding, once per distinct
+		// absorbing database — and copy the accumulators out, so the node
+		// itself can be recycled.
+		dag.Leaves = append(dag.Leaves, DAGLeaf{
+			State: n.state, Key: n.state.Result().Key(), Pi: n.pi.Big(),
+			Sequences: new(big.Int).Set(&n.seqs), SeqsByLength: n.seqsByLen,
+		})
+		dag.Sequences.Add(dag.Sequences, &n.seqs)
+		total.Add(&n.pi)
+	}, func(n, cn *dagNode, e *ratEdge) {
+		cn.pi.AddMulRat(&n.pi, &e.p)
+		cn.seqs.Add(&cn.seqs, &n.seqs)
+		if opt.TrackLengths {
+			// Every edge is one operation: sequences of length l at the
+			// parent extend to length l+1 at the child.
+			for len(cn.seqsByLen) < len(n.seqsByLen)+1 {
+				cn.seqsByLen = append(cn.seqsByLen, new(big.Int))
+			}
+			for l, cnt := range n.seqsByLen {
+				cn.seqsByLen[l+1].Add(cn.seqsByLen[l+1], cnt)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !total.IsOne() {
+		return nil, fmt.Errorf("%w: hitting distribution sums to %s", ErrNotWellDefined, total.Big().RatString())
+	}
+	return dag, nil
+}
+
+// sweep is the downward level sweep shared by ExploreDAG and
+// BuildSequenceDAG: it merges the states of a Collapsible chain by
+// database and processes the levels in decreasing size, in the three
+// phases described at the top of this file. visit is called once per
+// distinct database, in sweep order, with its node and resolved edges
+// (none at an absorbing database); edge is then called once per edge with
+// the child node the edge reaches. Both run sequentially, so they may
+// accumulate into the nodes freely. The root starts with mass 1 and one
+// (empty) sequence. sweep returns the number of distinct databases and of
+// edges.
+func sweep(inst *repair.Instance, g Generator, opt ExploreOptions,
+	visit func(n *dagNode, edges []ratEdge), edge func(n, child *dagNode, e *ratEdge)) (states, edges int, err error) {
 	if !Collapsible(inst, g) {
-		return nil, fmt.Errorf("%w (generator %s)", ErrNotCollapsible, g.Name())
+		return 0, 0, fmt.Errorf("%w (generator %s)", ErrNotCollapsible, g.Name())
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -171,7 +227,7 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 	// slice indexed by size replaces a map of levels.
 	levels := make([]map[string]*dagNode, rootSize+1)
 	levels[rootSize] = map[string]*dagNode{rootKey: rootNode}
-	dag := &DAG{States: 1, Sequences: new(big.Int)}
+	states = 1
 
 	// Per-level scratch, reused across the sweep: the sorted frontier, its
 	// expansions (each with its key arena), the new-database creator list,
@@ -181,9 +237,6 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 		exps     []expansion
 		creators []creator
 		arena    nodeArena
-		// total accumulates the emitted leaf mass for the Proposition 3
-		// sanity check, entirely on the small-rational fast path.
-		total prob.Rat
 	)
 
 	for size := rootSize; size >= 0; size-- {
@@ -206,21 +259,9 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 		for i, n := range nodes {
 			exp := &exps[i]
 			if exp.err != nil {
-				return nil, exp.err
+				return 0, 0, exp.err
 			}
-			if len(exp.edges) == 0 {
-				// Absorbing: convert the packed merge key to the canonical
-				// string key — the engine's only legacy-key encoding, once
-				// per distinct absorbing database — and copy the accumulators
-				// out, so the node itself can be recycled below.
-				dag.Leaves = append(dag.Leaves, DAGLeaf{
-					State: n.state, Key: n.state.Result().Key(), Pi: n.pi.Big(),
-					Sequences: new(big.Int).Set(&n.seqs), SeqsByLength: n.seqsByLen,
-				})
-				dag.Sequences.Add(dag.Sequences, &n.seqs)
-				total.Add(&n.pi)
-				continue
-			}
+			visit(n, exp.edges)
 			for j := range exp.edges {
 				e := &exp.edges[j]
 				ck := exp.childKey(j)
@@ -228,9 +269,9 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 				if csize >= size {
 					// Cannot happen for a TGD-free chain (every op deletes);
 					// guard the topological order rather than corrupt masses.
-					return nil, fmt.Errorf("%w: operation %s grew the database", ErrNotCollapsible, e.op)
+					return 0, 0, fmt.Errorf("%w: operation %s grew the database", ErrNotCollapsible, e.op)
 				}
-				dag.Edges++
+				edges++
 				lvl := levels[csize]
 				if lvl == nil {
 					lvl = map[string]*dagNode{}
@@ -242,31 +283,20 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 					cn.key = string(ck) // the one key allocation per distinct database
 					lvl[cn.key] = cn
 					creators = append(creators, creator{parent: n, child: cn, op: e.op})
-					dag.States++
-					if opt.MaxStates > 0 && dag.States > opt.MaxStates {
-						return nil, ErrStateBudget
+					states++
+					if opt.MaxStates > 0 && states > opt.MaxStates {
+						return 0, 0, ErrStateBudget
 					}
 				}
-				cn.pi.AddMulRat(&n.pi, &e.p)
-				cn.seqs.Add(&cn.seqs, &n.seqs)
-				if opt.TrackLengths {
-					// Every edge is one operation: sequences of length l at
-					// the parent extend to length l+1 at the child.
-					for len(cn.seqsByLen) < len(n.seqsByLen)+1 {
-						cn.seqsByLen = append(cn.seqsByLen, new(big.Int))
-					}
-					for l, cnt := range n.seqsByLen {
-						cn.seqsByLen[l+1].Add(cn.seqsByLen[l+1], cnt)
-					}
-				}
+				edge(n, cn, e)
 			}
 		}
 
 		materializeStates(creators, workers)
 
 		// The level is merged: recycle every node and drop its state, so
-		// peak memory tracks the frontier. (Whatever a leaf's DAGLeaf needs
-		// was copied out or detached at emission.)
+		// peak memory tracks the frontier. (Whatever the callers keep of a
+		// node was copied out or detached in visit.)
 		for _, n := range nodes {
 			n.state = nil
 			n.key = ""
@@ -276,11 +306,7 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 			arena.free = append(arena.free, n)
 		}
 	}
-
-	if !total.IsOne() {
-		return nil, fmt.Errorf("%w: hitting distribution sums to %s", ErrNotWellDefined, total.Big().RatString())
-	}
-	return dag, nil
+	return states, edges, nil
 }
 
 // nodeArena hands out dagNodes from a free list (recycled merged levels)
@@ -316,17 +342,17 @@ func (a *nodeArena) take() *dagNode {
 }
 
 // expandLevel is phase 1: every node of the frontier resolves its edges via
-// Step and derives each edge's packed child database key into the node's
-// reused arena. Nodes are independent — each worker owns its node and only
-// reads the shared instance caches — so the level splits across
-// min(workers, len(nodes)) goroutines. exps is scratch from the previous
-// level; it is grown as needed and returned.
+// stepRats and derives each edge's packed child database key into the
+// node's reused arena. Nodes are independent — each worker owns its node
+// and only reads the shared instance caches — so the level fans out over
+// the worker pool. exps is scratch from the previous level; it is grown as
+// needed and returned.
 func expandLevel(g Generator, nodes []*dagNode, exps []expansion, workers int) []expansion {
 	if cap(exps) < len(nodes) {
 		exps = append(exps[:cap(exps)], make([]expansion, len(nodes)-cap(exps))...)
 	}
 	exps = exps[:len(nodes)]
-	expand := func(i int) {
+	parallel(len(nodes), workers, func(i int) {
 		n, exp := nodes[i], &exps[i]
 		exp.err = nil
 		exp.arena = exp.arena[:0]
@@ -341,35 +367,7 @@ func expandLevel(g Generator, nodes []*dagNode, exps []expansion, workers int) [
 			exp.arena = n.state.AppendChildIDKey(exp.arena, edges[i].op)
 			exp.keyOff = append(exp.keyOff, len(exp.arena))
 		}
-	}
-	// Narrow frontiers (the first and last few levels of every chain, and
-	// all of a small chain) are cheaper to expand inline than to fan out.
-	const minParallelLevel = 16
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 || len(nodes) < minParallelLevel {
-		for i := range nodes {
-			expand(i)
-		}
-		return exps
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				expand(i)
-			}
-		}()
-	}
-	for i := range nodes {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 	return exps
 }
 
@@ -382,32 +380,36 @@ func expandLevel(g Generator, nodes []*dagNode, exps []expansion, workers int) [
 // SetFactIDs, so the next level's key derivations never write lazily (and
 // never allocate per state).
 func materializeStates(creators []creator, workers int) {
-	mk := func(i int) {
+	parallel(len(creators), workers, func(i int) {
 		c := &creators[i]
 		c.child.state = c.parent.state.Child(c.op)
+	})
+	total := 0
+	for i := range creators {
+		total += len(creators[i].child.key) / 4
 	}
-	defer func() {
-		total := 0
-		for i := range creators {
-			total += len(creators[i].child.key) / 4
+	arena := make([]uint32, 0, total)
+	for i := range creators {
+		start := len(arena)
+		k := creators[i].child.key
+		for j := 0; j+4 <= len(k); j += 4 {
+			arena = append(arena, uint32(k[j])<<24|uint32(k[j+1])<<16|uint32(k[j+2])<<8|uint32(k[j+3]))
 		}
-		arena := make([]uint32, 0, total)
-		for i := range creators {
-			start := len(arena)
-			k := creators[i].child.key
-			for j := 0; j+4 <= len(k); j += 4 {
-				arena = append(arena, uint32(k[j])<<24|uint32(k[j+1])<<16|uint32(k[j+2])<<8|uint32(k[j+3]))
-			}
-			creators[i].child.state.SetFactIDs(arena[start:len(arena):len(arena)])
-		}
-	}()
+		creators[i].child.state.SetFactIDs(arena[start:len(arena):len(arena)])
+	}
+}
+
+// parallel runs do(i) for every i in [0, n) on min(workers, n) goroutines.
+// Narrow batches (the first and last few levels of every chain, and all of
+// a small chain) are cheaper to run inline than to fan out.
+func parallel(n, workers int, do func(i int)) {
 	const minParallel = 16
-	if workers > len(creators) {
-		workers = len(creators)
+	if workers > n {
+		workers = n
 	}
-	if workers <= 1 || len(creators) < minParallel {
-		for i := range creators {
-			mk(i)
+	if workers <= 1 || n < minParallel {
+		for i := 0; i < n; i++ {
+			do(i)
 		}
 		return
 	}
@@ -418,11 +420,11 @@ func materializeStates(creators []creator, workers int) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				mk(i)
+				do(i)
 			}
 		}()
 	}
-	for i := range creators {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"repro/internal/constraint"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/prob"
 	"repro/internal/relation"
 	"repro/internal/repair"
+	"repro/internal/workload"
 )
 
 // memorylessUniform is uniformGen plus the Markovian declaration, the
@@ -92,72 +94,124 @@ func TestExploreDAGCollapse(t *testing.T) {
 	}
 }
 
-// TestExploreDAGMatchesTreeAggregation: aggregating the sequence tree's
-// leaves by result database reproduces exactly the DAG's leaf masses and
-// sequence counts.
+// TestExploreDAGMatchesTreeAggregation: the sequence tree's leaves, merged
+// by result database, reproduce exactly the DAG's leaf masses and sequence
+// counts.
 func TestExploreDAGMatchesTreeAggregation(t *testing.T) {
 	inst := twoConflictInstance(t)
 	dag, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves, err := markov.Explore(inst, uniformGen{}, markov.ExploreOptions{})
+	tree, err := markov.Explore(inst, uniformGen{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type agg struct {
-		pi   *big.Rat
-		seqs int64
-	}
-	byDB := map[string]*agg{}
-	for _, l := range leaves {
-		k := l.State.Result().Key()
-		a, ok := byDB[k]
-		if !ok {
-			a = &agg{pi: prob.Zero()}
-			byDB[k] = a
-		}
-		a.pi.Add(a.pi, l.Pi)
-		a.seqs++
+	byDB := map[string]markov.DAGLeaf{}
+	for _, l := range tree.Leaves {
+		byDB[l.Key] = l
 	}
 	if len(byDB) != len(dag.Leaves) {
 		t.Fatalf("tree aggregates to %d databases, DAG has %d leaves", len(byDB), len(dag.Leaves))
 	}
 	for _, l := range dag.Leaves {
-		a := byDB[l.State.Result().Key()]
-		if a == nil {
+		a, ok := byDB[l.Key]
+		if !ok {
 			t.Fatalf("DAG leaf %s missing from tree aggregation", l.State.Result())
 		}
-		if a.pi.Cmp(l.Pi) != 0 {
-			t.Errorf("leaf %s: DAG mass %s, tree mass %s", l.State.Result(), l.Pi.RatString(), a.pi.RatString())
+		if a.Pi.Cmp(l.Pi) != 0 {
+			t.Errorf("leaf %s: DAG mass %s, tree mass %s", l.State.Result(), l.Pi.RatString(), a.Pi.RatString())
 		}
-		if l.Sequences.Cmp(big.NewInt(a.seqs)) != 0 {
-			t.Errorf("leaf %s: DAG sequences %s, tree %d", l.State.Result(), l.Sequences, a.seqs)
+		if l.Sequences.Cmp(a.Sequences) != 0 {
+			t.Errorf("leaf %s: DAG sequences %s, tree %s", l.State.Result(), l.Sequences, a.Sequences)
 		}
+	}
+	if tree.Sequences.Cmp(dag.Sequences) != 0 {
+		t.Errorf("tree sequences %s, DAG %s", tree.Sequences, dag.Sequences)
 	}
 }
 
-// TestExploreDAGWorkerCountInvariant: the result is bit-identical (same
-// leaf order, same exact rationals) for every worker pool size.
-func TestExploreDAGWorkerCountInvariant(t *testing.T) {
-	inst := twoConflictInstance(t)
-	want, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// fiveConflictInstance has five independent key conflicts: 4^5 distinct
+// databases, with frontier levels wider than the inline-expansion
+// threshold, so the worker pool really runs.
+func fiveConflictInstance(t *testing.T) *repair.Instance {
+	t.Helper()
+	d := relation.NewDatabase()
+	for i := 0; i < 5; i++ {
+		k := fmt.Sprintf("k%d", i)
+		d.Insert(f("R", k, "1"))
+		d.Insert(f("R", k, "2"))
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: workers})
+	eta := constraint.MustEGD(
+		[]logic.Atom{at("R", v("x"), v("y")), at("R", v("x"), v("z"))},
+		v("y"), v("z"),
+	)
+	return repair.MustInstance(d, constraint.NewSet(eta))
+}
+
+// TestExploreDAGWorkerCountInvariant: ExploreDAG is bit-identical (same
+// leaf order, same exact rationals) for every worker pool size, and so is
+// the SequenceDAG built by the same sweep: same total, shape and draws from
+// a fixed RNG stream.
+func TestExploreDAGWorkerCountInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inst *repair.Instance
+	}{
+		{"two-conflicts", twoConflictInstance(t)},
+		{"five-conflicts", fiveConflictInstance(t)},
+	} {
+		name, inst := tc.name, tc.inst
+		want, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.States != want.States || got.Edges != want.Edges || len(got.Leaves) != len(want.Leaves) {
-			t.Fatalf("workers=%d: shape differs", workers)
+		for _, workers := range []int{2, 4, 8} {
+			got, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.States != want.States || got.Edges != want.Edges || len(got.Leaves) != len(want.Leaves) {
+				t.Fatalf("%s workers=%d: shape differs", name, workers)
+			}
+			for i, l := range got.Leaves {
+				w := want.Leaves[i]
+				if l.State.Result().Key() != w.State.Result().Key() ||
+					l.Pi.Cmp(w.Pi) != 0 || l.Sequences.Cmp(w.Sequences) != 0 {
+					t.Fatalf("%s workers=%d: leaf %d differs", name, workers, i)
+				}
+			}
 		}
-		for i, l := range got.Leaves {
-			w := want.Leaves[i]
-			if l.State.Result().Key() != w.State.Result().Key() ||
-				l.Pi.Cmp(w.Pi) != 0 || l.Sequences.Cmp(w.Sequences) != 0 {
-				t.Fatalf("workers=%d: leaf %d differs", workers, i)
+
+		var wantDraws []string
+		for _, workers := range []int{1, 2, 8} {
+			sd, err := markov.BuildSequenceDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.Total().Cmp(want.Sequences) != 0 || sd.States() != want.States || sd.Edges() != want.Edges {
+				t.Fatalf("%s workers=%d: sequence DAG total %s states %d edges %d, want %s, %d, %d",
+					name, workers, sd.Total(), sd.States(), sd.Edges(), want.Sequences, want.States, want.Edges)
+			}
+			src := &prob.SplitMix{}
+			rng := rand.New(src)
+			var draws []string
+			for i := 0; i < 64; i++ {
+				src.ReseedAt(7, i)
+				s, err := sd.Sample(rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				draws = append(draws, s.Key())
+			}
+			if wantDraws == nil {
+				wantDraws = draws
+				continue
+			}
+			for i := range draws {
+				if draws[i] != wantDraws[i] {
+					t.Fatalf("%s workers=%d: draw %d is %q, want %q", name, workers, i, draws[i], wantDraws[i])
+				}
 			}
 		}
 	}
@@ -170,17 +224,7 @@ func TestExploreDAGWorkerCountInvariant(t *testing.T) {
 // caches they touch (instance deletion cache, violation involved-fact
 // cache, interning tables).
 func TestExploreDAGParallelStress(t *testing.T) {
-	d := relation.NewDatabase()
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%d", i)
-		d.Insert(f("R", k, "1"))
-		d.Insert(f("R", k, "2"))
-	}
-	eta := constraint.MustEGD(
-		[]logic.Atom{at("R", v("x"), v("y")), at("R", v("x"), v("z"))},
-		v("y"), v("z"),
-	)
-	inst := repair.MustInstance(d, constraint.NewSet(eta))
+	inst := fiveConflictInstance(t)
 	want, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +247,10 @@ func TestExploreDAGParallelStress(t *testing.T) {
 
 func TestExploreDAGBudget(t *testing.T) {
 	if _, err := markov.ExploreDAG(twoConflictInstance(t), memorylessUniform{}, markov.ExploreOptions{MaxStates: 3}); !errors.Is(err, markov.ErrStateBudget) {
-		t.Errorf("err = %v, want ErrStateBudget", err)
+		t.Errorf("ExploreDAG: err = %v, want ErrStateBudget", err)
+	}
+	if _, err := markov.BuildSequenceDAG(twoConflictInstance(t), memorylessUniform{}, markov.ExploreOptions{MaxStates: 3}); !errors.Is(err, markov.ErrStateBudget) {
+		t.Errorf("BuildSequenceDAG: err = %v, want ErrStateBudget", err)
 	}
 }
 
@@ -226,25 +273,62 @@ func TestExploreDAGConsistentRoot(t *testing.T) {
 	}
 }
 
-// TestHittingDistributionCollapses: the routed HittingDistribution merges
-// sequences producing the same database and still sums to 1.
+// TestHittingDistributionCollapses: on a collapsible chain the tree walk
+// and the DAG sweep return the same hitting distribution over databases,
+// summing to 1, while the DAG visits fewer states.
 func TestHittingDistributionCollapses(t *testing.T) {
 	inst := twoConflictInstance(t)
-	dist, err := markov.HittingDistribution(inst, memorylessUniform{}, markov.ExploreOptions{})
+	tree, err := markov.Explore(inst, memorylessUniform{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dist) != 9 {
-		t.Fatalf("collapsed distribution over %d states, want 9", len(dist))
+	dag, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(tree.Leaves) != 9 || len(dag.Leaves) != 9 {
+		t.Fatalf("distributions over %d (tree) and %d (DAG) databases, want 9", len(tree.Leaves), len(dag.Leaves))
+	}
+	if tree.States != 25 || dag.States != 16 {
+		t.Errorf("states: tree %d, DAG %d, want 25 and 16", tree.States, dag.States)
+	}
+	pi := map[string]*big.Rat{}
 	total := prob.Zero()
-	for k, leaf := range dist {
-		if leaf.State.Key() != k {
-			t.Errorf("distribution key mismatch: %q vs %q", k, leaf.State.Key())
-		}
+	for _, leaf := range tree.Leaves {
+		pi[leaf.Key] = leaf.Pi
 		total.Add(total, leaf.Pi)
 	}
 	if !prob.IsOne(total) {
 		t.Errorf("hitting mass = %s, want 1", total.RatString())
+	}
+	for _, leaf := range dag.Leaves {
+		if p := pi[leaf.Key]; p == nil || p.Cmp(leaf.Pi) != 0 {
+			t.Errorf("database %q: tree mass %v, DAG mass %s", leaf.Key, p, leaf.Pi.RatString())
+		}
+	}
+}
+
+// TestExploreKeyViolationsSequenceCount: on k independent key conflicts the
+// tree has 3^k·k! complete sequences (3 resolutions per conflict, in any
+// order); Explore's merged leaves must account for every one of them and
+// for all of the hitting mass.
+func TestExploreKeyViolationsSequenceCount(t *testing.T) {
+	for _, tc := range []struct{ k, want int64 }{{1, 3}, {2, 18}, {3, 162}, {4, 1944}} {
+		d, sigma := workload.KeyViolations(workload.KeyConfig{Keys: int(tc.k), Violations: int(tc.k), Seed: 1})
+		dag, err := markov.Explore(repair.MustInstance(d, sigma), uniformGen{}, markov.ExploreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, total := new(big.Int), prob.Zero()
+		for _, l := range dag.Leaves {
+			seqs.Add(seqs, l.Sequences)
+			total.Add(total, l.Pi)
+		}
+		if seqs.Int64() != tc.want || dag.Sequences.Int64() != tc.want {
+			t.Errorf("k=%d: leaves sum to %s sequences (total %s), want %d", tc.k, seqs, dag.Sequences, tc.want)
+		}
+		if !prob.IsOne(total) {
+			t.Errorf("k=%d: hitting mass = %s, want 1", tc.k, total.RatString())
+		}
 	}
 }

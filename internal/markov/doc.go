@@ -13,14 +13,28 @@
 //     a TGD-free Σ (Collapsible), it licenses collapsing the sequence
 //     tree into the DAG of distinct sub-databases.
 //   - IntWeighter: the integer-weight fast path; random walks step with a
-//     single RNG draw and zero big.Rat work, bit-identical to the exact
-//     path.
-//   - Explore / ExploreDAG: exact exploration. Explore walks the sequence
-//     tree; ExploreDAG (dag.go) merges states by database identity, sweeps
-//     size levels in decreasing order (every deletion-only edge shrinks
-//     the database, so size classes are a topological order), accumulates
-//     exact path mass π and big.Int sequence counts per node, and expands
-//     each frontier with a worker pool.
+//     single RNG draw and zero big.Rat work, and ExploreDAG forms its edge
+//     probabilities from the weights — both bit-identical to the exact
+//     Transitions path.
+//   - Explore / ExploreDAG: exact exploration, both returning a *DAG
+//     whose leaves are the absorbing databases (merged by database, with
+//     hitting mass, sequence count and optional per-length counts).
+//     Explore is the single sequence-tree DFS (walkTree, shared with
+//     BuildTree's renderable tree); it resolves edges through Step, so
+//     it is the reference the DAG is checked against. ExploreDAG runs the
+//     single level sweep (sweep, dag.go): it merges states by database
+//     identity, sweeps size levels in decreasing order (every
+//     deletion-only edge shrinks the database, so size classes are a
+//     topological order), accumulates exact path mass π and big.Int
+//     sequence counts per node, and expands each frontier with a worker
+//     pool.
+//   - SemanticsMode (mode.go): walk-induced vs sequence-uniform — which
+//     distribution over complete sequences the layers above compute.
+//   - SequenceDAG (seqdag.go): the counting-to-sampling reduction.
+//     BuildSequenceDAG runs the same level sweep, recording each node's
+//     edges, then an upward pass turns them into per-node completion
+//     counts; count-guided walks then draw complete sequences exactly
+//     uniformly, which internal/sampling uses for the uniform semantics.
 //
 // # Two-tier state keys
 //
@@ -36,13 +50,6 @@
 // DAGLeaf.Key is emitted, and in everything layered above (reported repair
 // order, HTTP JSON). The two keys group states identically — both encode
 // exactly the fact set — they only sort differently.
-//   - SemanticsMode (mode.go): walk-induced vs sequence-uniform — which
-//     distribution over complete sequences the layers above compute.
-//   - SequenceDAG (seqdag.go): the counting-to-sampling reduction. A
-//     second, upward sweep turns the collapsed DAG into per-node
-//     completion counts; count-guided walks then draw complete sequences
-//     exactly uniformly, which internal/sampling uses for the uniform
-//     semantics.
 //
 // # Invariants (the determinism contract)
 //

@@ -84,8 +84,10 @@ func Collapsible(inst *repair.Instance, g Generator) bool {
 // return ok = false to fall back to the exact Transitions path (e.g. when
 // weights are inherently rational). Random walks use this to step without
 // any big.Rat arithmetic — the sampled edge is identical to the one the
-// exact path picks from the same RNG draw — while the exact engines
-// (Explore, ExploreDAG, HittingDistribution) always use Transitions.
+// exact path picks from the same RNG draw — and ExploreDAG resolves edges
+// through it (stepRats). The sequence-tree walk (Explore, BuildTree)
+// deliberately keeps Transitions, so the tree ≡ DAG equivalence suite
+// cross-checks the two weight paths against each other.
 type IntWeighter interface {
 	IntWeights(s *repair.State, exts []ops.Op) (weights []int64, ok bool, err error)
 }
@@ -216,14 +218,6 @@ func add64(a, b int64) (int64, bool) {
 	return c, true
 }
 
-// Leaf is a reachable absorbing state of the chain together with its
-// hitting probability π(s) (the product of edge probabilities along the
-// unique path from ε, since the chain is a tree).
-type Leaf struct {
-	State *repair.State
-	Pi    *big.Rat
-}
-
 // ExploreOptions tunes chain exploration.
 type ExploreOptions struct {
 	// MaxStates aborts the exploration once more than this many states have
@@ -249,76 +243,60 @@ type ExploreOptions struct {
 // ErrStateBudget is returned when exploration exceeds MaxStates.
 var ErrStateBudget = errors.New("markov: state budget exceeded during exact exploration")
 
-// Explore walks the support of the repairing Markov chain M_Σ(D) and
-// returns its reachable absorbing states with their hitting probabilities.
+// Explore walks the sequence tree of M_Σ(D) depth first — the reference
+// engine, correct for every generator — and returns its reachable absorbing
+// states merged by result database, in the same shape ExploreDAG returns:
+// each leaf carries a witness state, its database key, the total hitting
+// mass of the sequences producing it, their count and, under TrackLengths,
+// their count per length. States and Edges count tree states and edges.
 // The leaf probabilities sum to exactly 1 (Proposition 3: the hitting
-// distribution exists because the chain is a finite tree).
-func Explore(inst *repair.Instance, g Generator, opt ExploreOptions) ([]Leaf, error) {
-	var leaves []Leaf
-	visited := 0
-	// Path mass is carried as a small-rational (prob.Rat): products of edge
-	// probabilities stay in two machine words until they would overflow, and
-	// the canonical *big.Rat is materialized once per leaf.
-	var dfs func(s *repair.State, pi prob.Rat) error
-	dfs = func(s *repair.State, pi prob.Rat) error {
-		visited++
-		if opt.MaxStates > 0 && visited > opt.MaxStates {
-			return ErrStateBudget
+// distribution exists because the chain is a finite tree), or Explore
+// returns ErrNotWellDefined.
+func Explore(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, error) {
+	dag := &DAG{Sequences: new(big.Int)}
+	index := map[string]int{} // packed IDKey → position in dag.Leaves
+	// Leaf masses accumulate on the small-rational fast path (pis is
+	// aligned with dag.Leaves); each *big.Rat is materialized once at the
+	// end.
+	var pis []prob.Rat
+	var total prob.Rat
+	err := walkTree(inst, g, opt, func(s *repair.State, _ Edge, pi prob.Rat, edges []Edge) {
+		dag.States++
+		dag.Edges += len(edges)
+		if len(edges) > 0 {
+			return
 		}
-		edges, err := Step(g, s)
-		if err != nil {
-			return err
+		k := s.Result().IDKey()
+		i, ok := index[k]
+		if !ok {
+			i = len(dag.Leaves)
+			index[k] = i
+			dag.Leaves = append(dag.Leaves, DAGLeaf{State: s, Key: s.Result().Key(), Sequences: new(big.Int)})
+			pis = append(pis, prob.Rat{})
 		}
-		if len(edges) == 0 {
-			leaves = append(leaves, Leaf{State: s, Pi: pi.Big()})
-			return nil
-		}
-		for _, e := range edges {
-			child := s.Child(e.Op)
-			if err := dfs(child, pi.MulBig(e.P)); err != nil {
-				return err
+		l := &dag.Leaves[i]
+		pis[i].Add(&pi)
+		total.Add(&pi)
+		l.Sequences.Add(l.Sequences, bigOne) // each tree leaf is one sequence
+		if opt.TrackLengths {
+			n := s.Len()
+			for len(l.SeqsByLength) <= n {
+				l.SeqsByLength = append(l.SeqsByLength, new(big.Int))
 			}
+			l.SeqsByLength[n].Add(l.SeqsByLength[n], bigOne)
 		}
-		return nil
-	}
-	if err := dfs(inst.Root(), prob.RatOne()); err != nil {
-		return nil, err
-	}
-	return leaves, nil
-}
-
-// HittingDistribution returns the leaves keyed by sequence encoding; it is
-// Explore plus the Proposition 3 sanity check that probabilities sum to 1.
-//
-// When the chain is Collapsible the distribution is computed on the DAG:
-// absorbing sequences producing the same database are merged into one leaf
-// carrying their total mass, keyed by a witness sequence (the distribution
-// over result databases — the quantity every downstream consumer uses — is
-// unchanged; only the sequence-level granularity is collapsed).
-func HittingDistribution(inst *repair.Instance, g Generator, opt ExploreOptions) (map[string]Leaf, error) {
-	if Collapsible(inst, g) {
-		dag, err := ExploreDAG(inst, g, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]Leaf, len(dag.Leaves))
-		for _, l := range dag.Leaves {
-			out[l.State.Key()] = Leaf{State: l.State, Pi: l.Pi}
-		}
-		return out, nil
-	}
-	leaves, err := Explore(inst, g, opt)
+	})
 	if err != nil {
 		return nil, err
 	}
-	total := new(big.Rat)
-	out := make(map[string]Leaf, len(leaves))
-	for _, l := range leaves {
-		total.Add(total, l.Pi)
-		out[l.State.Key()] = l
+	for i := range dag.Leaves {
+		dag.Leaves[i].Pi = pis[i].Big()
+		dag.Sequences.Add(dag.Sequences, dag.Leaves[i].Sequences)
 	}
-	if !prob.IsOne(total) {
-		return nil, fmt.Errorf("%w: hitting distribution sums to %s", ErrNotWellDefined, total.RatString())
+	if !total.IsOne() {
+		return nil, fmt.Errorf("%w: hitting distribution sums to %s", ErrNotWellDefined, total.Big().RatString())
 	}
-	return out, nil
+	return dag, nil
 }
+
+var bigOne = big.NewInt(1)

@@ -63,17 +63,24 @@ func TestStepAbsorbingState(t *testing.T) {
 
 func TestExploreLeafCount(t *testing.T) {
 	inst := twoConflictInstance(t)
-	leaves, err := markov.Explore(inst, uniformGen{}, markov.ExploreOptions{})
+	dag, err := markov.Explore(inst, uniformGen{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 first ops × 3 ops for the remaining conflict = 18 leaves.
-	if len(leaves) != 18 {
-		t.Fatalf("leaves = %d, want 18", len(leaves))
+	// 6 first ops × 3 ops for the remaining conflict = 18 sequences, merged
+	// into 3 × 3 = 9 result databases.
+	if dag.Sequences.Int64() != 18 || len(dag.Leaves) != 9 {
+		t.Fatalf("sequences = %s leaves = %d, want 18 and 9", dag.Sequences, len(dag.Leaves))
+	}
+	// The tree has 1 root + 6 + 18 states and one edge into each non-root.
+	if dag.States != 25 || dag.Edges != 24 {
+		t.Errorf("States = %d Edges = %d, want 25 and 24", dag.States, dag.Edges)
 	}
 	total := prob.Zero()
-	for _, l := range leaves {
+	seqs := new(big.Int)
+	for _, l := range dag.Leaves {
 		total.Add(total, l.Pi)
+		seqs.Add(seqs, l.Sequences)
 		if !l.State.IsComplete() {
 			t.Errorf("leaf %s is not complete", l.State)
 		}
@@ -81,21 +88,25 @@ func TestExploreLeafCount(t *testing.T) {
 	if !prob.IsOne(total) {
 		t.Errorf("hitting mass = %s, want 1 (Proposition 3)", total.RatString())
 	}
+	if seqs.Cmp(dag.Sequences) != 0 {
+		t.Errorf("leaf sequence counts sum to %s, want %s", seqs, dag.Sequences)
+	}
 }
 
 func TestExploreRespectsZeroEdges(t *testing.T) {
 	inst := twoConflictInstance(t)
 	// A generator that zeroes pair deletions: only singleton repairs remain.
 	gen := singlesOnly{}
-	leaves, err := markov.Explore(inst, gen, markov.ExploreOptions{})
+	dag, err := markov.Explore(inst, gen, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 first singles × 2 singles for the other conflict = 8 leaves.
-	if len(leaves) != 8 {
-		t.Fatalf("leaves = %d, want 8", len(leaves))
+	// 4 first singles × 2 singles for the other conflict = 8 sequences,
+	// producing 2 × 2 = 4 databases.
+	if dag.Sequences.Int64() != 8 || len(dag.Leaves) != 4 {
+		t.Fatalf("sequences = %s leaves = %d, want 8 and 4", dag.Sequences, len(dag.Leaves))
 	}
-	for _, l := range leaves {
+	for _, l := range dag.Leaves {
 		for _, op := range l.State.Ops() {
 			if op.Size() != 1 {
 				t.Errorf("pair deletion %s leaked into the support", op)
@@ -125,19 +136,26 @@ func (singlesOnly) Transitions(_ *repair.State, exts []ops.Op) ([]*big.Rat, erro
 	return out, nil
 }
 
+// TestHittingDistributionKeys: Explore merges the tree's leaves by result
+// database, and each leaf's key is its database's key.
 func TestHittingDistributionKeys(t *testing.T) {
 	inst := twoConflictInstance(t)
-	dist, err := markov.HittingDistribution(inst, uniformGen{}, markov.ExploreOptions{})
+	dist, err := markov.Explore(inst, uniformGen{}, markov.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dist) != 18 {
-		t.Fatalf("distribution over %d states, want 18", len(dist))
-	}
-	for k, leaf := range dist {
-		if leaf.State.Key() != k {
-			t.Errorf("distribution key mismatch: %q vs %q", k, leaf.State.Key())
+	seen := map[string]bool{}
+	for _, leaf := range dist.Leaves {
+		if leaf.State.Result().Key() != leaf.Key {
+			t.Errorf("distribution key mismatch: %q vs %q", leaf.Key, leaf.State.Result().Key())
 		}
+		if seen[leaf.Key] {
+			t.Errorf("database %q appears in two leaves", leaf.Key)
+		}
+		seen[leaf.Key] = true
+	}
+	if len(seen) != 9 {
+		t.Fatalf("distribution over %d databases, want 9", len(seen))
 	}
 }
 
@@ -150,7 +168,18 @@ func TestBuildTreeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tree.Leaves()); got != 18 {
+	var leaves func(n *markov.Node) int
+	leaves = func(n *markov.Node) int {
+		if n.IsLeaf() {
+			return 1
+		}
+		total := 0
+		for _, c := range n.Children {
+			total += leaves(c.Node)
+		}
+		return total
+	}
+	if got := leaves(tree); got != 18 {
 		t.Errorf("tree leaves = %d, want 18", got)
 	}
 	// CountStates = 1 root + 6 + 18.

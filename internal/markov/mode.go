@@ -9,7 +9,7 @@ import "fmt"
 // that support.
 //
 // Core re-exports this type as core.SemanticsMode; CLI surfaces accept it
-// via ParseSemanticsMode ("walk" / "uniform").
+// via core.ParseSemanticsMode ("walk" / "uniform").
 type SemanticsMode int
 
 const (
@@ -38,19 +38,5 @@ func (m SemanticsMode) String() string {
 		return "uniform"
 	default:
 		return fmt.Sprintf("SemanticsMode(%d)", int(m))
-	}
-}
-
-// ParseSemanticsMode maps a CLI name to a mode. It accepts the canonical
-// spellings "walk" and "uniform" plus the long forms "walk-induced" and
-// "sequence-uniform".
-func ParseSemanticsMode(s string) (SemanticsMode, error) {
-	switch s {
-	case "walk", "walk-induced", "":
-		return WalkInduced, nil
-	case "uniform", "sequence-uniform":
-		return SequenceUniform, nil
-	default:
-		return 0, fmt.Errorf("markov: unknown semantics mode %q (want walk or uniform)", s)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"runtime"
-	"sort"
 
 	"repro/internal/ops"
 	"repro/internal/prob"
@@ -58,122 +56,48 @@ type seqNode struct {
 // back to importance sampling or the tree). opt.MaxStates bounds the number
 // of distinct databases; opt.Workers sizes the per-level expansion pool
 // (the index is identical for every worker count — counts are exact
-// integers and the merge is key-ordered). The level sweep shares
-// ExploreDAG's three-phase machinery: parallel edge/key expansion,
-// sequential key-ordered merge, and state materialization only for the
-// first edge reaching each distinct database.
+// integers and the merge is key-ordered). The downward pass is ExploreDAG's
+// level sweep, recording each node's edges; the upward pass then fills in
+// the completion counts.
 func BuildSequenceDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*SequenceDAG, error) {
-	if !Collapsible(inst, g) {
-		return nil, fmt.Errorf("%w (generator %s)", ErrNotCollapsible, g.Name())
+	sd := &SequenceDAG{inst: inst, nodes: map[string]*seqNode{}}
+	// Node keys in sweep (decreasing-size) order, replayed reversed by the
+	// upward count sweep.
+	var order []string
+	var cur *seqNode
+	var err error
+	sd.states, sd.edges, err = sweep(inst, g, opt, func(n *dagNode, edges []ratEdge) {
+		order = append(order, n.key)
+		cur = &seqNode{
+			ops:       make([]ops.Op, 0, len(edges)),
+			childKeys: make([]string, 0, len(edges)),
+		}
+		sd.nodes[n.key] = cur
+	}, func(_, cn *dagNode, e *ratEdge) {
+		cur.ops = append(cur.ops, e.op)
+		cur.childKeys = append(cur.childKeys, cn.key)
+	})
+	if err != nil {
+		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
-	root := inst.Root()
-	rootSize := root.Result().Size()
-	rootKey := string(relation.AppendIDKey(make([]byte, 0, 4*rootSize), root.FactIDs()))
-	levels := make([]map[string]*dagNode, rootSize+1)
-	levels[rootSize] = map[string]*dagNode{rootKey: {state: root, key: rootKey}}
-	sd := &SequenceDAG{inst: inst, nodes: map[string]*seqNode{}, states: 1}
-	// Non-empty levels in sweep (decreasing-size) order, replayed reversed
-	// by the upward count sweep.
-	var sweep [][]string
-
-	var (
-		nodes    []*dagNode
-		exps     []expansion
-		creators []creator
-		arena    nodeArena
-	)
-
-	for size := rootSize; size >= 0; size-- {
-		level := levels[size]
-		levels[size] = nil
-		if len(level) == 0 {
+	// Upward sweep: every child sits on a strictly smaller level, hence
+	// later in order, so its count is final before its parents read it.
+	for i := len(order) - 1; i >= 0; i-- {
+		n := sd.nodes[order[i]]
+		if len(n.ops) == 0 {
+			n.count = big.NewInt(1)
 			continue
 		}
-		nodes = nodes[:0]
-		for _, n := range level {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
-		keys := make([]string, len(nodes))
-		for i, n := range nodes {
-			keys[i] = n.key
-		}
-		sweep = append(sweep, keys)
-
-		exps = expandLevel(g, nodes, exps, workers)
-		creators = creators[:0]
-		for i, n := range nodes {
-			exp := &exps[i]
-			if exp.err != nil {
-				return nil, exp.err
-			}
-			sn := &seqNode{
-				ops:       make([]ops.Op, 0, len(exp.edges)),
-				childKeys: make([]string, 0, len(exp.edges)),
-			}
-			sd.nodes[n.key] = sn
-			for j := range exp.edges {
-				e := &exp.edges[j]
-				ck := exp.childKey(j)
-				csize := len(ck) / 4
-				if csize >= size {
-					return nil, fmt.Errorf("%w: operation %s grew the database", ErrNotCollapsible, e.op)
-				}
-				sd.edges++
-				lvl := levels[csize]
-				if lvl == nil {
-					lvl = map[string]*dagNode{}
-					levels[csize] = lvl
-				}
-				cn, ok := lvl[string(ck)]
-				if !ok {
-					cn = arena.take()
-					cn.key = string(ck)
-					lvl[cn.key] = cn
-					creators = append(creators, creator{parent: n, child: cn, op: e.op})
-					sd.states++
-					if opt.MaxStates > 0 && sd.states > opt.MaxStates {
-						return nil, ErrStateBudget
-					}
-				}
-				sn.ops = append(sn.ops, e.op)
-				sn.childKeys = append(sn.childKeys, cn.key)
-			}
-		}
-		materializeStates(creators, workers)
-		// The level's structure is recorded in sd.nodes; the states (and
-		// their nodes) are no longer needed.
-		for _, n := range nodes {
-			n.state = nil
-			n.key = ""
-			arena.free = append(arena.free, n)
+		n.counts = make([]*big.Int, len(n.ops))
+		n.count = new(big.Int)
+		for j, ck := range n.childKeys {
+			c := sd.nodes[ck]
+			n.counts[j] = c.count
+			n.count.Add(n.count, c.count)
 		}
 	}
-
-	// Upward sweep: levels in increasing database size, so every child's
-	// count is final before its parents read it.
-	for i := len(sweep) - 1; i >= 0; i-- {
-		for _, k := range sweep[i] {
-			n := sd.nodes[k]
-			if len(n.ops) == 0 {
-				n.count = big.NewInt(1)
-				continue
-			}
-			n.counts = make([]*big.Int, len(n.ops))
-			n.count = new(big.Int)
-			for j, ck := range n.childKeys {
-				c := sd.nodes[ck]
-				n.counts[j] = c.count
-				n.count.Add(n.count, c.count)
-			}
-		}
-	}
-	sd.total = sd.nodes[rootKey].count
+	sd.total = sd.nodes[order[0]].count
 	return sd, nil
 }
 

@@ -31,45 +31,49 @@ func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 // (the tree is exponential in general); opt.MaxStates guards runaway
 // inputs.
 func BuildTree(inst *repair.Instance, g Generator, opt ExploreOptions) (*Node, error) {
+	var path []*Node // path[d] is the open node at depth d
+	err := walkTree(inst, g, opt, func(s *repair.State, in Edge, pi prob.Rat, _ []Edge) {
+		n := &Node{State: s, Pi: pi.Big()}
+		d := s.Len()
+		path = append(path[:d], n)
+		if d > 0 {
+			parent := path[d-1]
+			parent.Children = append(parent.Children, ChildEdge{Edge: in, Node: n})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return path[0], nil
+}
+
+// walkTree is the sequence-tree DFS shared by Explore and BuildTree. It
+// visits every state in pre-order with its incoming edge (zero at the
+// root), its path mass π — the product of the edge probabilities from ε,
+// carried as a small-rational prob.Rat — and its outgoing edges, resolved
+// through Step (empty at absorbing states). opt.MaxStates bounds the
+// number of visited states.
+func walkTree(inst *repair.Instance, g Generator, opt ExploreOptions, visit func(s *repair.State, in Edge, pi prob.Rat, edges []Edge)) error {
 	visited := 0
-	var build func(s *repair.State, pi *big.Rat) (*Node, error)
-	build = func(s *repair.State, pi *big.Rat) (*Node, error) {
+	var dfs func(s *repair.State, in Edge, pi prob.Rat) error
+	dfs = func(s *repair.State, in Edge, pi prob.Rat) error {
 		visited++
 		if opt.MaxStates > 0 && visited > opt.MaxStates {
-			return nil, ErrStateBudget
+			return ErrStateBudget
 		}
 		edges, err := Step(g, s)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		node := &Node{State: s, Pi: pi}
+		visit(s, in, pi, edges)
 		for _, e := range edges {
-			child, err := build(s.Child(e.Op), new(big.Rat).Mul(pi, e.P))
-			if err != nil {
-				return nil, err
+			if err := dfs(s.Child(e.Op), e, pi.MulBig(e.P)); err != nil {
+				return err
 			}
-			node.Children = append(node.Children, ChildEdge{Edge: e, Node: child})
 		}
-		return node, nil
+		return nil
 	}
-	return build(inst.Root(), prob.One())
-}
-
-// Leaves returns the absorbing states of the tree in DFS order.
-func (n *Node) Leaves() []Leaf {
-	var out []Leaf
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.IsLeaf() {
-			out = append(out, Leaf{State: m.State, Pi: m.Pi})
-			return
-		}
-		for _, c := range m.Children {
-			walk(c.Node)
-		}
-	}
-	walk(n)
-	return out
+	return dfs(inst.Root(), Edge{}, prob.RatOne())
 }
 
 // CountStates returns the number of states in the tree (|RS(D,Σ)| within
