@@ -579,10 +579,12 @@ func BenchmarkFactoredSampleRepair(b *testing.B) {
 }
 
 // BenchmarkFactored measures the parallel, structurally-memoized factored
-// engine on a many-isomorphic-islands archipelago (90% of the islands share
-// one structural cache key). "seq" is the PR5-equivalent sequential,
-// uncached engine; "workers8" adds the worker pool; "cache" adds the
-// isomorphism cache alone; "cache-workers8" is the full PR6 configuration.
+// engine on an archipelago of 300 isomorphic islands (directed 6-edge
+// paths, 10% of them over shuffled constant names); the canonical
+// structural key sends all 300 to one exploration. "seq" is the
+// sequential, uncached engine; "workers8" adds the worker pool; "cache"
+// adds the isomorphism cache alone; "cache-workers8" is the full
+// configuration.
 func BenchmarkFactored(b *testing.B) {
 	d, sigma := workload.Islands(workload.IslandsConfig{
 		Islands:        300,

@@ -20,9 +20,10 @@ import (
 // 1,000,000 E facts split into 100,000 ten-fact conflict islands. The
 // monolithic chain of this instance has on the order of 10^500000 complete
 // sequences; the factored engine repairs each island independently,
-// explores only the distinct island shapes (99% of the islands are
-// isomorphic up to constant renaming and are served by the structural
-// cache), and still reports exact big.Rat probabilities.
+// explores only the distinct island shapes (every island is a 10-fact
+// chain, so one exploration serves all of them through the structural
+// cache, shuffled constant names included), and still reports exact
+// big.Rat probabilities.
 func init() {
 	register("E18", "extension: exact CP at million-fact scale (parallel + memoized factored engine)", func() error {
 		cfg := workload.IslandsConfig{

@@ -263,17 +263,13 @@ func TestEndToEndIslandsAtScale(t *testing.T) {
 	if len(fac.Components) != cfg.Islands {
 		t.Fatalf("components = %d, want %d", len(fac.Components), cfg.Islands)
 	}
-	// 90% of the islands are canonical and share a single cache key; the
-	// 10% shuffled islands each cost at most one exploration.
+	// Every island, canonical or shuffled, is a directed 10-edge path, so
+	// all of them share one canonical cache key: a single exploration.
 	if fac.CacheHits+fac.CacheMisses != cfg.Islands {
 		t.Fatalf("cache hits+misses = %d, want %d", fac.CacheHits+fac.CacheMisses, cfg.Islands)
 	}
-	if fac.CacheMisses > cfg.Islands/10+1 {
-		t.Errorf("cache misses = %d; want ≤ %d (only shuffled islands may miss)",
-			fac.CacheMisses, cfg.Islands/10+1)
-	}
-	if fac.CacheHits < cfg.Islands*9/10-1 {
-		t.Errorf("cache hits = %d; want ≥ %d", fac.CacheHits, cfg.Islands*9/10-1)
+	if fac.CacheMisses != 1 {
+		t.Errorf("cache misses = %d; want 1 (all islands are isomorphic)", fac.CacheMisses)
 	}
 
 	q, err := parse.Query(`Q(X, Y) := E(X, Y).`)

@@ -63,23 +63,26 @@ type Explored struct {
 }
 
 // Explore builds the Component of one conflict island: on the structural
-// path the island is canonicalized and the shared canonical semantics is
-// explored at most once per shape (concurrent isomorphic explorations
-// coalesce on the cache entry); otherwise the island is explored
+// path the island is renamed to its canonical form up to constant
+// renaming and the shared canonical semantics is explored at most once
+// per shape, however the island's constants are named (concurrent
+// isomorphic explorations coalesce on the cache entry; an island past the
+// canonicalization search budget keeps a first-occurrence key, which may
+// cost a second exploration of its shape); otherwise the island is explored
 // directly, seeded with the violations it already carries. Safe for
 // concurrent use by multiple goroutines of the same scope.
 func (sc *BuildScope) Explore(isl *abc.Island) (Explored, error) {
 	facts := isl.Facts
 	c := &Component{Facts: facts}
 	if sc.structural {
-		canonFacts, key, inv, ren := canonicalize(facts)
+		canonFacts, key, inv, _ := canonicalize(facts)
 		e := sc.cache.entry(key, sc.call)
 		// The exploration runs on the canonical instance — a pure
 		// function of the cache key — so every isomorphic component
 		// observes the identical shared semantics regardless of which
 		// one arrived first.
 		e.once.Do(func() {
-			e.sem, e.err = computeComponent(sc.sigma, sc.g, sc.opt, canonFacts, renameViolations(isl.Violations(), ren))
+			e.sem, e.err = computeComponent(sc.sigma, sc.g, sc.opt, canonFacts, renameViolations(isl.Violations(), canonRenaming(inv)))
 		})
 		if e.err != nil {
 			return Explored{}, fmt.Errorf("component %s: %w", relation.FactsString(facts), e.err)

@@ -38,6 +38,13 @@
 //     isomorphic components share one exploration through a cache keyed
 //     by the component's canonical form up to constant renaming — exact
 //     conditional probabilities at million-fact scale (experiment E18).
+//     The form (canon.go) is computed by colour refinement over the
+//     constants plus individualization–refinement search, taking the
+//     lexicographically least relabelled fact set; constants whose
+//     transposition is an automorphism prune symmetric branches, and past
+//     a fixed search budget a component keeps its first-occurrence
+//     renaming. Keys compare canonical fact ids, never hashes, so
+//     equal keys always mean isomorphic components.
 //   - Aggregate queries (aggregate.go) and UniformOverRepairs (the
 //     "equally likely repairs" measure of Section 6) round out the
 //     semantics variants.

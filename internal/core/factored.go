@@ -48,12 +48,15 @@ import (
 //   - Structural memoization: when the generator's weights are invariant
 //     under renaming of constants (StructuralGenerator) and Σ mentions no
 //     constants, two components that are isomorphic up to constant
-//     renaming have isomorphic local semantics. Each component is
-//     canonicalized by a first-occurrence renaming over its sorted fact
-//     list; the packed canonical fact ids key a semantics cache, so N
-//     isomorphic islands cost one DAG exploration plus N cheap renamings
-//     (materialized lazily — atomic-query marginals read the shared
-//     canonical semantics directly and never materialize at all).
+//     renaming have isomorphic local semantics. Each component is renamed
+//     to its canonical form up to constant renaming (canon.go: colour
+//     refinement plus individualization, pruned by interchangeable
+//     constants, with a sound first-occurrence fallback past a
+//     fixed search budget); the packed canonical fact ids key a semantics
+//     cache, so N isomorphic islands cost one DAG exploration plus N
+//     cheap renamings however their constants are named (materialized
+//     lazily — atomic-query marginals read the shared canonical semantics
+//     directly and never materialize at all).
 
 // LocalGenerator marks generators whose per-component transition weights
 // are independent of the rest of the database, licensing factorization.
@@ -128,9 +131,10 @@ type Component struct {
 func (c *Component) Semantics() *Semantics {
 	c.semOnce.Do(func() {
 		if c.sem == nil {
+			table := canonSymTable(len(c.inv))
 			ren := make(map[intern.Sym]intern.Sym, len(c.inv))
 			for i, orig := range c.inv {
-				ren[canonSym(i)] = orig
+				ren[table[i]] = orig
 			}
 			c.sem = renameSemantics(c.canon, ren)
 		}
@@ -495,10 +499,10 @@ func computeComponent(sigma *constraint.Set, g markov.Generator, opt markov.Expl
 
 // renameViolations maps an island's violations into the canonical constant
 // space of its cache key. On the structural path Σ mentions no constants
-// and the first-occurrence renaming is injective, so each image is a
-// violation of the canonical instance and together they are exactly
-// V(canon,Σ): every isomorphic island renames to the identical set, making
-// the seed independent of which component populates the cache entry.
+// and the canonical renaming is injective, so each image is a violation
+// of the canonical instance and together they are exactly V(canon,Σ):
+// every island with the same key renames to the identical set, making the
+// seed independent of which component populates the cache entry.
 func renameViolations(vios []constraint.Violation, ren map[intern.Sym]intern.Sym) *constraint.Violations {
 	out := make([]constraint.Violation, len(vios))
 	for i, v := range vios {
@@ -512,57 +516,6 @@ func renameViolations(vios []constraint.Violation, ren map[intern.Sym]intern.Sym
 		out[i] = constraint.NewViolation(v.Constraint, h)
 	}
 	return constraint.ViolationsOf(out)
-}
-
-// canonSyms is the process-wide table of canonical constants ⟨0⟩, ⟨1⟩, …
-// substituted for a component's constants in first-occurrence order.
-var (
-	canonMu   sync.Mutex
-	canonSyms []intern.Sym
-)
-
-func canonSym(i int) intern.Sym {
-	canonMu.Lock()
-	for len(canonSyms) <= i {
-		canonSyms = append(canonSyms, intern.S(fmt.Sprintf("⟨%d⟩", len(canonSyms))))
-	}
-	s := canonSyms[i]
-	canonMu.Unlock()
-	return s
-}
-
-// canonicalize renames the constants of a sorted fact list to canonical
-// constants in first-occurrence order. It returns the canonical facts
-// (aligned by index with the input), the packed cache key (the canonical
-// fact ids — equal keys imply the fact lists are isomorphic up to constant
-// renaming, since both first-occurrence renamings are injective and
-// compose into an isomorphism), the inverse renaming (canonical index →
-// original constant), and the forward renaming map (original constant →
-// canonical constant).
-func canonicalize(facts []relation.Fact) (canon []relation.Fact, key string, inv []intern.Sym, ren map[intern.Sym]intern.Sym) {
-	ren = map[intern.Sym]intern.Sym{}
-	canon = make([]relation.Fact, len(facts))
-	ids := make([]uint32, len(facts))
-	for i, f := range facts {
-		orig := f.Args()
-		args := make([]intern.Sym, len(orig))
-		for j, a := range orig {
-			c, ok := ren[a]
-			if !ok {
-				c = canonSym(len(inv))
-				ren[a] = c
-				inv = append(inv, a)
-			}
-			args[j] = c
-		}
-		cf := relation.FactOf(f.Pred(), args)
-		canon[i] = cf
-		ids[i] = cf.ID()
-	}
-	// Pack with the shared id-key encoding (relation.AppendIDKey), over the
-	// canonical ids in input (sorted-fact) order.
-	key = string(relation.AppendIDKey(make([]byte, 0, 4*len(ids)), ids))
-	return canon, key, inv, ren
 }
 
 // renameSemantics deep-copies a semantics with every repair fact's

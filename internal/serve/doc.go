@@ -49,8 +49,9 @@
 //     to anything previously explored cost a renaming, not a DAG
 //     exploration. Σ must therefore stay fixed for the Server's lifetime
 //     (it does: Server has no way to change it). Snapshot and payload
-//     identity is binary end to end: cache keys are the packed canonical
-//     fact-id encoding (relation.AppendIDKey) and islands route to writer
+//     identity is binary end to end: cache keys are the packed fact ids
+//     of the island's canonical form up to constant renaming
+//     (relation.AppendIDKey) and islands route to writer
 //     shards by content hash — the human-readable Database.Key appears
 //     only in the HTTP JSON presentation layer.
 //   - Non-atomic queries that overflow the exact enumeration budget

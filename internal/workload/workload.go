@@ -218,12 +218,13 @@ type IslandsConfig struct {
 	// FactsPerIsland is the number of E facts per island; each island is a
 	// conflict chain with FactsPerIsland−1 overlapping violations.
 	FactsPerIsland int
-	// IsoRatio is the fraction of islands whose constants follow the
-	// canonical (sorted) order: those islands share one structural cache
-	// key in core.ComputeFactored, so IsoRatio tunes the cache hit rate.
-	// The remaining islands use randomly permuted node sequences — still
-	// chains, still isomorphic in truth, but their first-occurrence
-	// canonical forms differ, so they (almost surely) miss the cache.
+	// IsoRatio is the fraction of islands whose constants sort along the
+	// chain. The remaining islands use randomly permuted node sequences:
+	// still chains, isomorphic to the rest, but their constants sort in a
+	// different order than their chain. core.ComputeFactored's canonical
+	// structural key ignores constant order, so every island shares one
+	// cache entry whatever IsoRatio is; only a key that depends on the
+	// sorted fact order (the first-occurrence fallback) tells them apart.
 	IsoRatio float64
 	Seed     int64
 }
@@ -247,9 +248,8 @@ func Islands(cfg IslandsConfig) (*relation.Database, *constraint.Set) {
 		if i >= iso {
 			rng.Shuffle(len(nodes), func(a, b int) { nodes[a], nodes[b] = nodes[b], nodes[a] })
 		}
-		// Zero-padded private constants: within a canonical island the
-		// lexicographic fact order follows the chain, so all canonical
-		// islands canonicalize to the same key.
+		// Zero-padded private constants: within an unshuffled island the
+		// lexicographic fact order follows the chain.
 		name := func(n int) string { return fmt.Sprintf("i%08d_n%03d", i, n) }
 		for j := 0; j < cfg.FactsPerIsland; j++ {
 			d.Insert(relation.NewFact("E", name(nodes[j]), name(nodes[j+1])))

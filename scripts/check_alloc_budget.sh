@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check_alloc_budget.sh — allocation regression gate for the hot paths.
 #
-# scripts/alloc_budget.txt holds one "<benchmark-pattern> <budget>" entry
-# per gated hot path; for each entry this script runs the benchmark with
+# scripts/alloc_budget.txt holds one "<benchmark-pattern> <budget>
+# [package]" entry per gated hot path (the package defaults to the root
+# package "."); for each entry this script runs the benchmark with
 # -benchmem and fails when allocs/op exceeds the budget by more than the
 # slack (default 20%). Allocation counts — unlike wall-clock time — are
 # exact and machine-independent for a deterministic benchmark, so a tight
@@ -16,10 +17,10 @@ cd "$(dirname "$0")/.."
 slack="${1:-20}"
 fail=0
 
-while read -r bench budget; do
+while read -r bench budget pkg; do
   case "$bench" in ''|\#*) continue ;; esac
 
-  out="$(go test -run '^$' -bench "${bench}\$" -benchmem -benchtime 5x -timeout 10m .)"
+  out="$(go test -run '^$' -bench "${bench}\$" -benchmem -benchtime 5x -timeout 10m "${pkg:-.}")"
   echo "$out"
 
   allocs="$(echo "$out" | awk -v b="$bench" \
