@@ -65,7 +65,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.1, "additive error bound ε (approx/practical mode)")
 		delta     = flag.Float64("delta", 0.1, "failure probability δ (approx/practical mode)")
 		seed      = flag.Int64("seed", 1, "random seed (approx/practical mode)")
-		workers   = flag.Int("workers", 1, "parallel walkers/rounds (approx/practical mode)")
+		workers   = flag.Int("workers", 1, "parallel workers: DAG frontier expansion (exact), components (factored), walkers (approx), rounds (practical); results are bit-identical for any value")
 		maxStates = flag.Int("max-states", 1_000_000, "exact-mode state budget (0 = unlimited)")
 		nulls     = flag.Bool("nulls", false, "repair TGDs with labeled-null insertions (Section 6 extension)")
 		dropAll   = flag.Float64("drop-all", 0, "practical mode: probability a violating key group keeps no tuple")
@@ -126,7 +126,7 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 
 	switch mode {
 	case "exact":
-		sem, err := core.ComputeMode(inst, gen, markov.ExploreOptions{MaxStates: maxStates}, semMode)
+		sem, err := core.ComputeMode(inst, gen, markov.ExploreOptions{MaxStates: maxStates, Workers: workers}, semMode)
 		if err != nil {
 			return err
 		}

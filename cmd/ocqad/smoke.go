@@ -169,6 +169,13 @@ func runSmoke(n int, opts serve.Options) error {
 	fmt.Printf("smoke: %d ops (%d ingests), %d facts cross-checked; %d components, %d cumulative recomputes, %d cache shapes\n",
 		len(ops), ingests, checked, st.Components, st.CumRecomputed, st.CacheShapes)
 
+	// The probers share the client's transport, which keeps at most two
+	// idle connections per host; under contention it dials spare
+	// connections that end up idle without ever carrying a request. The
+	// server holds those in StateNew, and Shutdown waits for StateNew
+	// connections instead of closing them, so close them from this side
+	// first.
+	client.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

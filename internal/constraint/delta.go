@@ -114,20 +114,7 @@ func UpdateViolationsDelta(dNew *relation.Database, s *Set, before *Violations, 
 			})
 
 		case !insert:
-			// EGD/DC + deletion: drop violations whose body lost a fact.
-			// Survivors are copied as the bulk runs between eliminations —
-			// the range is already ID-sorted, so the per-element sortedness
-			// check of add is paid only once per eliminated violation.
-			run := before.constraintRange(c)
-			start := 0
-			for i, v := range run {
-				if bodyIntersects(v, cs) {
-					out.appendRun(run[start:i])
-					eliminated = append(eliminated, v)
-					start = i + 1
-				}
-			}
-			out.appendRun(run[start:])
+			eliminated = out.appendUndeleted(before.constraintRange(c), cs.facts, eliminated)
 
 		default:
 			// EGD/DC + insertion: keep the old violations, merge in the
@@ -298,14 +285,51 @@ func copyConstraintViolations(dst *Violations, src *Violations, c *Constraint) {
 	dst.appendRun(src.constraintRange(c))
 }
 
-// bodyIntersects reports whether h(body) includes any changed fact.
-func bodyIntersects(v Violation, cs changeSet) bool {
-	for _, f := range cs.facts {
-		if v.bodyHasFact(f) {
-			return true
+// appendUndeleted is the EGD/DC deletion rule, the one place it is
+// written down: after the facts in deleted leave the database, a violation
+// disappears iff its body lost one of them, and no violation appears. It
+// appends the violations of run that keep their whole body to vs and the
+// others to gone, which it returns. run must be ID-sorted and may alias
+// vs's own storage from the current end on (DeleteFacts filters in place
+// that way). Survivors are copied as the bulk runs between eliminations,
+// so the sortedness check of appendRun is paid once per eliminated
+// violation.
+func (vs *Violations) appendUndeleted(run []Violation, deleted []relation.Fact, gone []Violation) []Violation {
+	start := 0
+	for i, v := range run {
+		for _, f := range deleted {
+			if v.bodyHasFact(f) {
+				vs.appendRun(run[start:i])
+				gone = append(gone, v)
+				start = i + 1
+				break
+			}
 		}
 	}
-	return false
+	vs.appendRun(run[start:])
+	return gone
+}
+
+// DeleteFacts updates vs in place to the violation set left once the given
+// facts are deleted from the database, appending the violations that
+// disappear to gone and returning it. It applies the EGD/DC deletion rule
+// to the whole set, so every violation in vs must be of an EGD or a DC
+// (for a TGD, a deletion can also destroy a head witness and create a
+// violation; use UpdateViolationsDiff). The set is modified, so it must
+// not be shared: Clone it first when it is.
+func (vs *Violations) DeleteFacts(deleted []relation.Fact, gone []Violation) []Violation {
+	vs.norm()
+	run := vs.vs
+	vs.vs = run[:0]
+	return vs.appendUndeleted(run, deleted, gone)
+}
+
+// Clone returns a copy of vs that shares no storage with it. Unlike
+// ViolationsOf it copies an already normalized set verbatim, with no
+// re-sort or dedup pass: walks clone the root set once per walk.
+func (vs *Violations) Clone() *Violations {
+	vs.norm()
+	return &Violations{vs: slices.Clone(vs.vs), sorted: true}
 }
 
 // forEachHomTouching enumerates the homomorphisms from atoms into d that

@@ -21,12 +21,18 @@
 //
 // # Invariants
 //
-//   - Violations sets are immutable once built; the diff maintenance
-//     returns a new set plus the violations that disappeared (the chain
-//     layer's req2 bookkeeping depends on that "gone" list being exact).
+//   - Violations sets are immutable once built, except through
+//     DeleteFacts, which only the owner of an unshared set may call; the
+//     diff maintenance returns a new set plus the violations that
+//     disappeared (the chain layer's req2 bookkeeping and the extension
+//     filter depend on that "gone" list being exact).
 //   - For EGD/DC constraints, violations only ever disappear along a
 //     deletion-only walk — the monotonicity the repair layer's
 //     parent-extension filtering and the markov DAG collapse both lean on.
+//     The deletion rule (a violation disappears iff its body lost a fact)
+//     is written once, in appendUndeleted: UpdateViolationsDiff applies it
+//     per constraint into a new set, and Violations.DeleteFacts applies it
+//     to a whole TGD-free set in place, which is how walk steps use it.
 //
 // # Neighbors
 //

@@ -106,7 +106,7 @@ func (p Preference) Transitions(s *repair.State, exts []ops.Op) ([]*big.Rat, err
 // weights. The transition probability of deleting α = Pref(a,b) is
 // w(ᾱ)/Σ_{β ∈ V_Σ(D)} w(β), which is exactly the normalized weight this
 // returns; the atom-shape validation of Transitions is preserved.
-func (p Preference) IntWeights(s *repair.State, exts []ops.Op) ([]int64, bool, error) {
+func (p Preference) IntWeights(s *repair.State, exts []ops.Op, dst []int64) ([]int64, bool, error) {
 	db := s.Result()
 	pred := p.pred()
 	// The exact path's probabilities are w(ᾱ)/Σ_{β ∈ V_Σ(D)} w(β); they sum
@@ -117,28 +117,26 @@ func (p Preference) IntWeights(s *repair.State, exts []ops.Op) ([]int64, bool, e
 	var involvedTotal int64
 	for _, f := range s.Violations().InvolvedFacts() {
 		if f.Pred() != pred || f.Arity() != 2 {
-			return nil, false, fmt.Errorf("generators: preference generator saw violation atom %s outside %s/2", f, pred)
+			return dst, false, fmt.Errorf("generators: preference generator saw violation atom %s outside %s/2", f, pred)
 		}
 		involvedTotal += p.weight(db, pred, f.Args()[0])
 	}
-	out := make([]int64, len(exts))
 	var total int64
-	for i, op := range exts {
-		if !op.IsDelete() || op.Size() != 1 {
-			continue
+	for _, op := range exts {
+		var w int64
+		if op.IsDelete() && op.Size() == 1 {
+			w = p.weight(db, pred, op.Facts()[0].Args()[1])
 		}
-		alpha := op.Facts()[0].Args()
-		w := p.weight(db, pred, alpha[1])
-		out[i] = w
+		dst = append(dst, w)
 		total += w
 	}
 	if total == 0 {
-		return nil, false, fmt.Errorf("generators: preference generator has zero total weight at state %q", s)
+		return dst, false, fmt.Errorf("generators: preference generator has zero total weight at state %q", s)
 	}
 	if total != involvedTotal {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return out, true, nil
+	return dst, true, nil
 }
 
 var (

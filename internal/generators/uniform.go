@@ -52,12 +52,11 @@ func (Uniform) Transitions(_ *repair.State, exts []ops.Op) ([]*big.Rat, error) {
 }
 
 // IntWeights implements markov.IntWeighter: every extension has weight 1.
-func (Uniform) IntWeights(_ *repair.State, exts []ops.Op) ([]int64, bool, error) {
-	out := make([]int64, len(exts))
-	for i := range out {
-		out[i] = 1
+func (Uniform) IntWeights(_ *repair.State, exts []ops.Op, dst []int64) ([]int64, bool, error) {
+	for range exts {
+		dst = append(dst, 1)
 	}
-	return out, true, nil
+	return dst, true, nil
 }
 
 // UniformDeletions is the uniform generator restricted to deletion
@@ -137,19 +136,20 @@ func (w WeightFunc) Transitions(s *repair.State, exts []ops.Op) ([]*big.Rat, err
 }
 
 // IntWeights implements markov.IntWeighter: deletions weigh 1, additions 0.
-func (UniformDeletions) IntWeights(s *repair.State, exts []ops.Op) ([]int64, bool, error) {
-	out := make([]int64, len(exts))
+func (UniformDeletions) IntWeights(s *repair.State, exts []ops.Op, dst []int64) ([]int64, bool, error) {
 	var dels int64
-	for i, op := range exts {
+	for _, op := range exts {
+		var w int64
 		if op.IsDelete() {
-			out[i] = 1
+			w = 1
 			dels++
 		}
+		dst = append(dst, w)
 	}
 	if dels == 0 {
-		return nil, false, fmt.Errorf("generators: no deletion extension at state %q; deletion-only chain undefined", s)
+		return dst, false, fmt.Errorf("generators: no deletion extension at state %q; deletion-only chain undefined", s)
 	}
-	return out, true, nil
+	return dst, true, nil
 }
 
 // Compile-time interface checks. WeightFunc is deliberately NOT Markovian:

@@ -123,13 +123,14 @@ type dagNode struct {
 // expansion is phase 1's per-node result: the node's outgoing edges and the
 // packed id key of each edge's child database, derived incrementally from
 // the parent (no child state is materialized here). keyOff[j]:keyOff[j+1]
-// bounds edge j's key in arena; both arena and keyOff are reused across
-// levels.
+// bounds edge j's key in arena; arena, keyOff and the generator's weight
+// buffer are reused across levels.
 type expansion struct {
-	edges  []ratEdge
-	keyOff []int
-	arena  []byte
-	err    error
+	edges   []ratEdge
+	weights []int64
+	keyOff  []int
+	arena   []byte
+	err     error
 }
 
 // childKey returns edge j's packed child database key.
@@ -357,8 +358,8 @@ func expandLevel(g Generator, nodes []*dagNode, exps []expansion, workers int) [
 		exp.err = nil
 		exp.arena = exp.arena[:0]
 		exp.keyOff = append(exp.keyOff[:0], 0)
-		edges, err := stepRats(g, n.state, exp.edges[:0])
-		exp.edges = edges
+		edges, weights, err := stepRats(g, n.state, exp.edges[:0], exp.weights)
+		exp.edges, exp.weights = edges, weights
 		if err != nil {
 			exp.err = err
 			return

@@ -68,8 +68,10 @@ type Markovian interface {
 // memoryless: without TGDs every operation is a deletion, so a state's
 // valid extensions are determined by its violation set (a function of the
 // database) and the history bookkeeping of Definition 4 (cancellation,
-// req2, global justification of additions) never prunes anything. With
-// TGDs, states reaching the same database along different histories can
+// req2, global justification of additions) never prunes anything. Repair
+// states therefore keep no such history without TGDs, and a walk step is
+// one in-place filter of the violation set and the extension list
+// (repair.State.ChildInPlace). With TGDs, states reaching the same database along different histories can
 // have different futures, and only the sequence tree is sound.
 func Collapsible(inst *repair.Instance, g Generator) bool {
 	m, ok := g.(Markovian)
@@ -78,9 +80,10 @@ func Collapsible(inst *repair.Instance, g Generator) bool {
 
 // IntWeighter is an optional fast path for generators whose transition
 // probabilities are ratios of small integer weights (uniform choice,
-// count-based importance, ...). IntWeights returns one non-negative weight
-// per extension; the transition probability of extension i is
-// weights[i] / Σ weights, which sums to 1 by construction. Implementations
+// count-based importance, ...). IntWeights appends one non-negative weight
+// per extension to dst and returns the extended slice, so a walker reuses
+// one buffer for all its steps; the transition probability of extension i
+// is weights[i] / Σ weights, which sums to 1 by construction. Implementations
 // return ok = false to fall back to the exact Transitions path (e.g. when
 // weights are inherently rational). Random walks use this to step without
 // any big.Rat arithmetic — the sampled edge is identical to the one the
@@ -89,7 +92,7 @@ func Collapsible(inst *repair.Instance, g Generator) bool {
 // deliberately keeps Transitions, so the tree ≡ DAG equivalence suite
 // cross-checks the two weight paths against each other.
 type IntWeighter interface {
-	IntWeights(s *repair.State, exts []ops.Op) (weights []int64, ok bool, err error)
+	IntWeights(s *repair.State, exts []ops.Op, dst []int64) (weights []int64, ok bool, err error)
 }
 
 // Step validates and returns the outgoing edges of a state under a
@@ -156,22 +159,25 @@ type ratEdge struct {
 }
 
 // stepRats is Step in small-rational form, appending the outgoing edges to
-// buf (scratch reused across nodes) instead of allocating fresh slices.
+// buf and the integer weights to ws (scratch reused across nodes) instead
+// of allocating fresh slices.
 // For IntWeighter generators the probabilities w_i/Σw are formed directly
 // from the integer weights — exactly the rationals Transitions would
 // return, without creating any big.Rat; otherwise it delegates to Step
 // (inheriting its full well-definedness validation) and converts. Like the
 // walkers, IntWeights errors propagate and a declined fast path (ok=false,
 // or a weight sum outside int64) falls back to the exact route.
-func stepRats(g Generator, s *repair.State, buf []ratEdge) ([]ratEdge, error) {
+func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdge, []int64, error) {
 	exts := s.Extensions()
 	if len(exts) == 0 {
-		return buf, nil
+		return buf, ws, nil
 	}
 	if iw, ok := g.(IntWeighter); ok {
-		ws, wok, err := iw.IntWeights(s, exts)
+		var wok bool
+		var err error
+		ws, wok, err = iw.IntWeights(s, exts, ws[:0])
 		if err != nil {
-			return buf, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
+			return buf, ws, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
 		}
 		if wok && len(ws) == len(exts) {
 			total := int64(0)
@@ -194,18 +200,18 @@ func stepRats(g Generator, s *repair.State, buf []ratEdge) ([]ratEdge, error) {
 					}
 					buf = append(buf, ratEdge{op: exts[i], p: prob.RatFrac(w, total)})
 				}
-				return buf, nil
+				return buf, ws, nil
 			}
 		}
 	}
 	edges, err := Step(g, s)
 	if err != nil {
-		return buf, err
+		return buf, ws, err
 	}
 	for _, e := range edges {
 		buf = append(buf, ratEdge{op: e.Op, p: prob.RatFromBig(e.P)})
 	}
-	return buf, nil
+	return buf, ws, nil
 }
 
 // add64 is overflow-checked int64 addition (mirrors the prob package's

@@ -148,19 +148,30 @@ func (o Op) Apply(d *relation.Database) *relation.Database {
 
 // Do applies the operation to d in place and returns the facts that
 // actually changed (were inserted or removed); feeding those to Undo
-// restores d exactly.
+// restores d exactly. When every fact changed — always, for an operation
+// justified at d — the result is the operation's own fact slice, so
+// callers must not modify it.
 func (o Op) Do(d *relation.Database) []relation.Fact {
+	facts := o.Facts()
 	var changed []relation.Fact
-	for _, f := range o.Facts() {
+	for i, f := range facts {
+		var ok bool
 		if o.insert {
-			if d.Insert(f) {
-				changed = append(changed, f)
-			}
+			ok = d.Insert(f)
 		} else {
-			if d.Delete(f) {
-				changed = append(changed, f)
-			}
+			ok = d.Delete(f)
 		}
+		// changed stays nil while every fact so far changed; the first
+		// unchanged fact starts a copy of the prefix that did.
+		switch {
+		case !ok && changed == nil:
+			changed = append(make([]relation.Fact, 0, len(facts)), facts[:i]...)
+		case ok && changed != nil:
+			changed = append(changed, f)
+		}
+	}
+	if changed == nil {
+		return facts
 	}
 	return changed
 }

@@ -14,10 +14,10 @@
 //     every concurrent walker.
 //   - State: one repairing sequence with the database it produces and the
 //     incremental bookkeeping to check Definition 4 per step. States form
-//     a tree; Child clones (O(depth) small-integer entries — databases are
-//     copy-on-write, bookkeeping is id-sorted slices), ChildInPlace
-//     transfers ownership for walk-style exploration that discards the
-//     parent.
+//     a tree; Child builds the child in fresh storage and only reads the
+//     parent (databases are copy-on-write, bookkeeping is id-sorted
+//     slices), ChildInPlace hands the parent's storage on for walk-style
+//     exploration that discards the parent.
 //   - Walk / Survey / Validate (walk.go): a full-tree traversal, summary
 //     statistics, and an independent from-scratch transcription of
 //     Definition 4 that the property tests check the incremental State
@@ -27,12 +27,25 @@
 //
 //   - States are immutable after creation; Extensions() is cached,
 //     deterministic, and canonically ordered (ops.SortOps order).
-//   - For TGD-free Σ the operation space is deletion-only and a child's
-//     extensions are exactly the parent's filtered to the surviving
-//     violation bodies — the structural fact behind both the extension
-//     filter fast path here and the DAG collapse in internal/markov.
-//   - A state passed to ChildInPlace must not be used afterwards (its
-//     database is nilled to surface misuse).
+//   - For TGD-free Σ the operation space is deletion-only: a step can only
+//     remove violations and extensions. The child's violations are the
+//     parent's filtered by the EGD/DC deletion rule
+//     (constraint.Violations.DeleteFacts), and its extensions are the
+//     parent's filtered to the surviving violation bodies, re-checking only
+//     the operations that meet an eliminated body. Child and ChildInPlace
+//     share this one transition (deletionChild); it is also the structural
+//     fact behind the DAG collapse in internal/markov.
+//   - Without TGDs no Definition 4 history (eliminated violations, added
+//     and removed facts) is kept: admissibility is automatic, so nothing
+//     reads it.
+//   - ChildInPlace hands the receiver's database, violation set and
+//     extension list on to the child, which updates them in place. The
+//     receiver and anything it handed out (Violations, Extensions) must not
+//     be used afterwards; its database, violations and extensions are
+//     nilled to surface misuse.
+//   - The instance's root caches (rootViolations, rootExts) are shared by
+//     every root state and every concurrent walker and are never written:
+//     the first step of a walk filters them into fresh storage.
 //
 // # Neighbors
 //

@@ -15,7 +15,8 @@ import (
 // Definition 4 incrementally. States form a tree: the root is the empty
 // sequence ε and each child extends its parent by one operation.
 //
-// States are immutable after creation; Child produces new states. The
+// States are immutable after creation, except that ChildInPlace hands a
+// state's storage on to its child; Child produces new states. The
 // database is copy-on-write (children share the instance's sealed snapshot
 // and carry only their op deltas) and the bookkeeping sets are keyed by
 // interned fact and violation ids, so spawning a child costs O(depth)
@@ -27,10 +28,12 @@ type State struct {
 	depth      int
 	db         *relation.Database     // D^s_i, owned by this state
 	violations *constraint.Violations // V(D^s_i, Σ)
-	eliminated idSet                  // violations eliminated at steps ≤ i
-	added      relation.FactSet       // facts inserted so far
-	removed    relation.FactSet       // facts deleted so far
-	extensions []ops.Op               // cached valid extensions (nil until computed)
+	// Definition 4 history, kept only when Σ has TGDs (without them
+	// admissible is never consulted).
+	eliminated idSet            // violations eliminated at steps ≤ i
+	added      relation.FactSet // facts inserted so far
+	removed    relation.FactSet // facts deleted so far
+	extensions []ops.Op         // cached valid extensions (nil until computed)
 	extsReady  bool
 	// ids caches the sorted interned fact ids of db (nil until computed);
 	// children derive theirs from the parent's by applying the op's fact
@@ -222,7 +225,8 @@ func (s *State) AppendChildIDKey(dst []byte, op ops.Op) []byte {
 }
 
 // idSearch returns the insertion position of id in the sorted slice
-// (hand-rolled like idInSorted: the generic BinarySearch is not inlined).
+// (hand-rolled: the generic BinarySearch is not inlined, and this runs at
+// every step of every walk).
 func idSearch(ids []uint32, id uint32) int {
 	lo, hi := 0, len(ids)
 	for lo < hi {
@@ -271,7 +275,8 @@ func (s *State) String() string {
 // sequence: op is justified at the current database, does not cancel an
 // earlier operation, does not reintroduce an eliminated violation (req2),
 // and keeps every earlier addition globally justified. The result is
-// cached, deterministic, and canonically ordered.
+// cached, deterministic, and canonically ordered; callers must not modify
+// it, and ChildInPlace on s reuses its storage for the child's list.
 func (s *State) Extensions() []ops.Op {
 	if s.extsReady {
 		return s.extensions
@@ -296,19 +301,10 @@ func (s *State) computeExtensions() []ops.Op {
 	// Without TGDs the operation space is deletion-only: every candidate
 	// removes a non-empty subset of some current violation body, nothing is
 	// ever inserted, and admissibility is automatic (no addition can be
-	// cancelled, no deletion can reintroduce an EGD/DC violation). The
-	// candidate set therefore depends only on the violation set — and since
-	// EGD/DC violations can only disappear along a walk, a child's
-	// extensions are exactly the parent's restricted to the surviving
-	// violations. Filtering the parent's canonically sorted list preserves
-	// order and dedup without re-sorting; this is the localization idea of
-	// Section 6 applied to operation enumeration.
+	// cancelled, no deletion can reintroduce an EGD/DC violation). Steps
+	// then derive a child's list from its parent's (deletionExtensions), so
+	// this runs only at the root and below a parent that never enumerated.
 	deletionOnly := !s.inst.sigma.HasTGDs()
-	if deletionOnly {
-		if p := s.parent; p != nil && p.extsReady {
-			return s.filterParentExtensions(p.extensions)
-		}
-	}
 
 	// Gather candidates (possibly with duplicates when violation bodies
 	// overlap), sort canonically, and dedup adjacent identical operations —
@@ -344,87 +340,90 @@ func (s *State) computeExtensions() []ops.Op {
 	return valid
 }
 
-// filterParentExtensions derives a deletion-only state's extensions from
-// its parent's: the parent operations whose fact sets still lie inside
-// some surviving violation body (every justified deletion is a non-empty
-// body subset, and EGD/DC violations only ever disappear along a walk), in
-// the parent's canonical order. Singleton deletions — the bulk of the
-// candidates — are decided by one binary search of the sorted union of
-// surviving body fact ids; larger deletions scan the (few, tiny) bodies.
-func (s *State) filterParentExtensions(parent []ops.Op) []ops.Op {
-	vios := s.violations.ByID()
-	bodies := make([][]relation.Fact, len(vios))
-	var idBuf [64]uint32
-	union := idBuf[:0]
-	for i, v := range vios {
-		bodies[i] = v.BodyFacts()
-		for _, f := range bodies[i] {
-			union = append(union, f.ID())
+// deletionExtensions derives a TGD-free child's extensions from its
+// parent's list exts, appending the kept operations to dst in the parent's
+// canonical order; dst may be exts[:0], which filters in place. Every
+// extension is a non-empty subset of a violation body (the justified
+// deletions), and the child's violations are the parent's minus gone, so
+// an operation stays iff it lies inside a surviving body. An operation
+// that meets no body in gone stays unchecked: the body it came from lost
+// no fact, so it survived. Only the operations that meet an eliminated
+// body are re-checked, against the surviving bodies that share a fact
+// with one.
+func deletionExtensions(dst, exts []ops.Op, gone, survivors []constraint.Violation) []ops.Op {
+	// touched holds the fact ids of the eliminated bodies, sorted and
+	// distinct; alive[i] records whether touched[i] is still inside some
+	// surviving body, and live collects those bodies.
+	var touchedBuf [16]uint32
+	touched := touchedBuf[:0]
+	for _, v := range gone {
+		for _, f := range v.BodyFacts() {
+			touched = append(touched, f.ID())
 		}
 	}
-	slices.Sort(union)
-
-	out := make([]ops.Op, 0, len(parent))
-scan:
-	for _, op := range parent {
-		facts := op.Facts()
-		// Facts outside every surviving body (in particular, deleted facts)
-		// disqualify the operation outright; for singletons the union test
-		// is the whole answer.
-		for _, f := range facts {
-			if !idInSorted(union, f.ID()) {
-				continue scan
+	if len(touched) == 0 {
+		return append(dst, exts...)
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	lo, hi := touched[0], touched[len(touched)-1]
+	var aliveBuf [16]bool
+	alive := slices.Grow(aliveBuf[:0], len(touched))[:len(touched)]
+	clear(alive)
+	var liveBuf [16][]relation.Fact
+	live := liveBuf[:0]
+	for _, v := range survivors {
+		body := v.BodyFacts()
+		meets := false
+		for _, f := range body {
+			if id := f.ID(); id >= lo && id <= hi {
+				if i := idSearch(touched, id); i < len(touched) && touched[i] == id {
+					alive[i], meets = true, true
+				}
 			}
 		}
-		if len(facts) == 1 {
-			out = append(out, op)
+		if meets {
+			live = append(live, body)
+		}
+	}
+
+scan:
+	for _, op := range exts {
+		facts := op.Facts()
+		meets := false
+		for _, f := range facts {
+			if id := f.ID(); id >= lo && id <= hi {
+				i := idSearch(touched, id)
+				if i < len(touched) && touched[i] == id {
+					if !alive[i] {
+						continue scan // a deleted fact, or one in no surviving body
+					}
+					meets = true
+				}
+			}
+		}
+		if meets && len(facts) > 1 && !insideSome(facts, live) {
 			continue
 		}
-		for _, body := range bodies {
-			if factsSubset(facts, body) {
-				out = append(out, op)
-				break
-			}
-		}
+		dst = append(dst, op)
 	}
-	return out
+	return dst
 }
 
-// idInSorted reports whether id occurs in the sorted slice. Hand-rolled
-// rather than slices.BinarySearch: the generic call is not inlined and was
-// visible in walk profiles at this call frequency.
-func idInSorted(ids []uint32, id uint32) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
-}
-
-// factsSubset reports whether every fact of fs occurs in body; both are a
-// handful of facts, so linear scans of interned ids beat any set machinery.
-func factsSubset(fs, body []relation.Fact) bool {
-	if len(fs) > len(body) {
-		return false
-	}
-	for _, f := range fs {
-		found := false
-		for _, g := range body {
-			if g == f {
-				found = true
-				break
+// insideSome reports whether some body contains every fact of fs; both
+// are a handful of facts, so linear scans of interned ids beat any set
+// machinery.
+func insideSome(fs []relation.Fact, bodies [][]relation.Fact) bool {
+next:
+	for _, body := range bodies {
+		for _, f := range fs {
+			if !slices.Contains(body, f) {
+				continue next
 			}
 		}
-		if !found {
-			return false
-		}
+		return true
 	}
-	return true
+	return false
 }
 
 // admissible checks the non-local conditions of Definition 4 for appending
@@ -514,10 +513,14 @@ func (s *State) additionsStillJustified(del ops.Op) bool {
 }
 
 // Child returns the state reached by appending op; op must come from
-// Extensions (or otherwise be a valid extension).
+// Extensions (or otherwise be a valid extension). The receiver is only
+// read, so children of one state may be built concurrently.
 func (s *State) Child(op ops.Op) *State {
 	db := s.db.Clone()
 	changed := op.Do(db)
+	if !s.inst.sigma.HasTGDs() {
+		return s.deletionChild(op, db, changed, false)
+	}
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
 	eliminated := s.eliminated.clone(len(gone))
@@ -553,13 +556,22 @@ func (s *State) Child(op ops.Op) *State {
 }
 
 // ChildInPlace is Child for walk-style exploration where the parent state
-// is discarded after stepping: it transfers ownership of the receiver's
-// database and bookkeeping to the child instead of cloning them. The
-// receiver must not be used after the call (its database is set to nil to
-// surface misuse early).
+// is discarded after stepping: the child takes over the receiver's
+// database, violation set and extension list and updates them in place.
+// For TGD-free Σ a step is then one filter of the violation set and one of
+// the extension list, with no copies. The root's violation set and
+// extension list are the instance's shared caches, so the first step of a
+// walk copies them and never writes to them. The receiver, and any slice
+// or set it handed out, must not be used after the call (its database,
+// violations and extensions are set to nil to surface misuse early).
 func (s *State) ChildInPlace(op ops.Op) *State {
 	db := s.db
 	changed := op.Do(db)
+	if !s.inst.sigma.HasTGDs() {
+		child := s.deletionChild(op, db, changed, s.parent != nil)
+		s.db, s.violations, s.extensions, s.extsReady = nil, nil, nil, false
+		return child
+	}
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
 	eliminated := s.eliminated
@@ -586,6 +598,39 @@ func (s *State) ChildInPlace(op ops.Op) *State {
 		added:      added,
 		removed:    removed,
 	}
+}
+
+// deletionChild is the TGD-free step shared by Child and ChildInPlace,
+// once op has been applied to db. Every operation is a deletion, which
+// can only remove violations and extensions: the child's violation set is
+// the receiver's filtered by the EGD/DC deletion rule, and its extension
+// list, when the receiver's is known, is the receiver's filtered by
+// deletionExtensions. inPlace filters the receiver's own storage;
+// otherwise the child gets fresh copies. No Definition 4 history is kept:
+// admissible is never consulted without TGDs.
+func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relation.Fact, inPlace bool) *State {
+	vios := s.violations
+	if !inPlace {
+		vios = vios.Clone()
+	}
+	var goneBuf [8]constraint.Violation
+	gone := vios.DeleteFacts(changed, goneBuf[:0])
+	child := &State{
+		inst:       s.inst,
+		parent:     s,
+		op:         op,
+		depth:      s.depth + 1,
+		db:         db,
+		violations: vios,
+	}
+	if s.extsReady {
+		dst := s.extensions[:0]
+		if !inPlace {
+			dst = make([]ops.Op, 0, len(s.extensions))
+		}
+		child.extensions, child.extsReady = deletionExtensions(dst, s.extensions, gone, vios.ByID()), true
+	}
+	return child
 }
 
 // IsComplete reports whether the sequence cannot be extended.

@@ -7,7 +7,11 @@
 //   - Walk: one random walk down the repairing Markov chain, stepping with
 //     the generator's own probabilities. Generators exposing integer
 //     weights (markov.IntWeighter) step without big.Rat arithmetic,
-//     bit-identical to the exact path.
+//     bit-identical to the exact path, into one weight buffer per walk.
+//     Every step is repair.State.ChildInPlace: for TGD-free Σ it filters
+//     the walk's own violation set and extension list in place, so a step
+//     copies neither (the first step copies the instance's shared root
+//     caches, which no walk ever writes).
 //   - Estimator: n-walk estimation. For the walk-induced mode (the zero
 //     value of Mode) it is the additive-error scheme of Theorem 9:
 //     n = ⌈ln(2/δ)/(2ε²)⌉ samples put every tuple estimate within ε of

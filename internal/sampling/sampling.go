@@ -31,13 +31,16 @@ func Walk(inst *repair.Instance, g markov.Generator, rng *rand.Rand, maxSteps in
 	iw, fast := g.(markov.IntWeighter)
 	s := inst.Root()
 	steps := 0
+	var ws []int64
 	for {
 		if fast {
 			exts := s.Extensions()
 			if len(exts) == 0 {
 				return s, nil
 			}
-			ws, ok, err := iw.IntWeights(s, exts)
+			var ok bool
+			var err error
+			ws, ok, err = iw.IntWeights(s, exts, ws[:0])
 			if err != nil {
 				return nil, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
 			}
@@ -249,12 +252,13 @@ func (e *Estimator) run(q *fo.Query, n int) (*Run, error) {
 			var packBuf [64]byte
 			tally := func(tuple []intern.Sym) {
 				// Key by packed symbols — no name lookups, no string
-				// round trip; names materialize once per distinct tuple.
-				k := string(intern.PackSyms(packBuf[:0], tuple))
-				c := t.cells[k]
+				// round trip; the key string and the names materialize
+				// once per distinct tuple (the lookup converts in place).
+				k := intern.PackSyms(packBuf[:0], tuple)
+				c := t.cells[string(k)]
 				if c == nil {
 					c = &tallyCell{tuple: intern.Names(tuple)}
-					t.cells[k] = c
+					t.cells[string(k)] = c
 				}
 				c.count++
 			}

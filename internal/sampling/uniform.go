@@ -187,13 +187,16 @@ func walkUniformSupport(inst *repair.Instance, g markov.Generator, rng *rand.Ran
 	logW := 0.0
 	steps := 0
 	var support []int
+	var ws []int64
 	for {
 		if fast {
 			exts := s.Extensions()
 			if len(exts) == 0 {
 				return s, logW, nil
 			}
-			ws, ok, err := iw.IntWeights(s, exts)
+			var ok bool
+			var err error
+			ws, ok, err = iw.IntWeights(s, exts, ws[:0])
 			if err != nil {
 				return nil, 0, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
 			}

@@ -183,3 +183,50 @@ func TestUniformEstimatorMatchesWalkModeOnSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestWalksLeaveRootCachesUntouched: walks step in place, and their first
+// step starts from the instance's shared root caches (the root violation
+// set and extension list). After a 4-worker walk-mode run and a
+// count-guided uniform run on the same instance, the root must still
+// report exactly the initial violations and extensions.
+func TestWalksLeaveRootCachesUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inst *repair.Instance
+		q    *fo.Query
+	}{
+		{"keys", repair.MustInstance(workload.KeyViolations(workload.KeyConfig{Keys: 10, Violations: 6, Seed: 1})), keysUniformQuery()},
+		{"chain", repair.MustInstance(workload.Chain(workload.ChainConfig{Facts: 9})), edgeQuery()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snapshot := func() (vios, exts []string) {
+				root := tc.inst.Root()
+				vios = root.Violations().Keys()
+				for _, op := range root.Extensions() {
+					exts = append(exts, op.Key())
+				}
+				return vios, exts
+			}
+			wantVios, wantExts := snapshot()
+			if len(wantVios) == 0 || len(wantExts) == 0 {
+				t.Fatal("instance has no conflicts; the test would be vacuous")
+			}
+			for _, mode := range []markov.SemanticsMode{markov.WalkInduced, markov.SequenceUniform} {
+				est := &sampling.Estimator{Inst: tc.inst, Gen: generators.Uniform{}, Seed: 3, Workers: 4, MaxSteps: 100, Mode: mode}
+				// A walk over a corrupted root cache can loop on a deletion
+				// that no longer changes anything; MaxSteps turns that into
+				// an error, and the caches are compared regardless.
+				if _, err := est.EstimateWithN(tc.q, 300); err != nil {
+					t.Errorf("%v run: %v", mode, err)
+				}
+			}
+			gotVios, gotExts := snapshot()
+			if !reflect.DeepEqual(gotVios, wantVios) {
+				t.Errorf("root violations changed by the walks:\n got %v\nwant %v", gotVios, wantVios)
+			}
+			if !reflect.DeepEqual(gotExts, wantExts) {
+				t.Errorf("root extensions changed by the walks:\n got %v\nwant %v", gotExts, wantExts)
+			}
+		})
+	}
+}
