@@ -267,16 +267,8 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 		if err != nil {
 			return err
 		}
-		groups := 0
-		for _, table := range keyed {
-			t, err := cat.Table(table)
-			if err != nil {
-				return err
-			}
-			groups += len(practical.KeyGroups(cat.DB(), t.Pred, len(t.Cols), cat.Key(table)))
-		}
 		fmt.Printf("practical scheme: n = %d rounds (ε = %g, δ = %g), %d keyed tables, %d violating groups, drop-all %g\n\n",
-			res.N, eps, delta, len(keyed), groups, dropAll)
+			res.N, eps, delta, len(keyed), res.Groups, dropAll)
 		if len(res.Tuples) == 0 {
 			fmt.Println("no tuple was observed in any round")
 			return nil

@@ -39,10 +39,7 @@ func SampleRdel(rng *rand.Rand, groups [][]relation.Fact, pol Policy) []relation
 
 func sampleRdelInto(rng *rand.Rand, groups [][]relation.Fact, pol Policy, dst []relation.Fact) []relation.Fact {
 	for _, g := range groups {
-		keep := -1
-		if pol.DropAll <= 0 || rng.Float64() >= pol.DropAll {
-			keep = rng.Intn(len(g))
-		}
+		keep := drawKeep(rng, len(g), pol)
 		for i, f := range g {
 			if i != keep {
 				dst = append(dst, f)
@@ -50,6 +47,17 @@ func sampleRdelInto(rng *rand.Rand, groups [][]relation.Fact, pol Policy, dst []
 		}
 	}
 	return dst
+}
+
+// drawKeep draws which member of a violating group of the given size
+// survives one round: -1 (the group is dropped whole) with probability
+// pol.DropAll, otherwise a uniform member. Every round of both evaluation
+// paths draws through it, so they consume the RNG identically.
+func drawKeep(rng *rand.Rand, size int, pol Policy) int {
+	if pol.DropAll <= 0 || rng.Float64() >= pol.DropAll {
+		return rng.Intn(size)
+	}
+	return -1
 }
 
 // TupleFreq is an output tuple with its frequency over the n rounds.
@@ -63,7 +71,10 @@ type TupleFreq struct {
 type Result struct {
 	N          int
 	Eps, Delta float64
-	Tuples     []TupleFreq
+	// Groups is the number of violating key groups across the keyed
+	// tables: the groups every round resolves.
+	Groups int
+	Tuples []TupleFreq
 }
 
 // Lookup returns the frequency entry for a row (zero entry when absent).
@@ -93,21 +104,33 @@ type Runner struct {
 // Run executes n rounds of the scheme for the query plan and returns the
 // per-tuple frequencies. Output rows are deduplicated within each round
 // (the scheme counts whether a tuple is in the round's answer, not how
-// many times). Conjunctive plans are compiled to indexed CQ evaluation;
-// everything else evaluates through the plan algebra.
+// many times). Conjunctive plans are compiled to a query and run as
+// RunQuery; everything else evaluates through the plan algebra on each
+// round's repaired database.
 func (r *Runner) Run(p plan.Plan, n int) (*Result, error) {
 	if q, ok := plan.AsQuery(p, r.Catalog); ok {
-		return r.runRounds(r.queryEval(q), n)
+		return r.RunQuery(q, n)
 	}
 	return r.runRounds(r.planEval(p), n)
 }
 
 // RunQuery executes the scheme for a first-order query on the catalog's
-// database — the unified-substrate path with no plan at all: each round
-// evaluates q over the repaired database (indexed CQ search when q is
-// conjunctive).
+// database — the unified-substrate path with no plan at all. A conjunctive
+// query whose output variables all occur in its body is answered from its
+// witness lineage (fo.Query.Lineage), built once over the whole database
+// with the violating groups' facts as the conflicted list: each round only
+// marks its R_del and counts the candidates with a surviving witness. Any
+// other query is evaluated over each round's repaired database.
 func (r *Runner) RunQuery(q *fo.Query, n int) (*Result, error) {
-	return r.runRounds(r.queryEval(q), n)
+	g, err := r.keyGroups(n)
+	if err != nil {
+		return nil, err
+	}
+	conflicted, members := g.conflicted()
+	if lin, ok := q.Lineage(g.base, conflicted); ok {
+		return r.lineageRounds(g, lin, len(conflicted), members, n), nil
+	}
+	return r.evalRounds(g, r.queryEval(q), n)
 }
 
 // RunWithGuarantee computes n from (ε, δ) via the Hoeffding bound and runs
@@ -169,6 +192,132 @@ func (r *Runner) planEval(p plan.Plan) roundEval {
 	}
 }
 
+// roundGroups is the fixed input of a run: the sealed database and its
+// violating key groups per keyed table, in KeyedTables order. Groups are
+// immutable across rounds, so they are enumerated exactly once per run
+// instead of once per round.
+type roundGroups struct {
+	base   *relation.Database
+	tables [][][]relation.Fact
+	count  int
+}
+
+// keyGroups validates n, seals the catalog's database — so every round
+// clones an indexed snapshot in O(1) and the group enumeration reads
+// index buckets; the runner is the only writer during a run by contract —
+// and enumerates the violating groups.
+func (r *Runner) keyGroups(n int) (*roundGroups, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("practical: need at least one round, got %d", n)
+	}
+	g := &roundGroups{base: r.Catalog.DB()}
+	g.base.Seal()
+	for _, table := range r.Catalog.KeyedTables() {
+		t, err := r.Catalog.Table(table)
+		if err != nil {
+			return nil, err
+		}
+		groups := KeyGroups(g.base, t.Pred, len(t.Cols), r.Catalog.Key(table))
+		g.tables = append(g.tables, groups)
+		g.count += len(groups)
+	}
+	return g, nil
+}
+
+// conflicted lists the distinct facts of the violating groups and, for
+// every group in draw order, its members' positions in that list.
+func (g *roundGroups) conflicted() ([]relation.Fact, [][]int) {
+	var facts []relation.Fact
+	var members [][]int
+	pos := map[relation.Fact]int{}
+	for _, groups := range g.tables {
+		for _, group := range groups {
+			m := make([]int, len(group))
+			for j, f := range group {
+				i, ok := pos[f]
+				if !ok {
+					i = len(facts)
+					pos[f] = i
+					facts = append(facts, f)
+				}
+				m[j] = i
+			}
+			members = append(members, m)
+		}
+	}
+	return facts, members
+}
+
+// workers is the number of round evaluators a run of n rounds uses.
+func (r *Runner) workers(n int) int { return min(max(r.Workers, 1), n) }
+
+// shareRounds splits the n rounds into contiguous shares over
+// r.workers(n) goroutines, runs body(w, lo, hi) on each share
+// concurrently, and waits. Each round's randomness is a pure function of
+// (Seed, round index), never of the worker that runs the round:
+// partitioning the same n rounds across any number of workers draws the
+// same n repairs, and merged tallies are sums, so runs are bit-identical
+// for every Workers value.
+func (r *Runner) shareRounds(n int, body func(w, lo, hi int)) {
+	workers := r.workers(n)
+	var wg sync.WaitGroup
+	lo := 0
+	for w := 0; w < workers; w++ {
+		share := n / workers
+		if w < n%workers {
+			share++
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			body(w, lo, hi)
+		}(w, lo, lo+share)
+		lo += share
+	}
+	wg.Wait()
+}
+
+// lineageRounds runs the n rounds of a conjunctive query over its witness
+// lineage: a round marks the facts its draw deletes in the worker's dead
+// set and counts, by candidate index, the candidates that still answer.
+// No round copies or evaluates a database.
+func (r *Runner) lineageRounds(g *roundGroups, lin *fo.Lineage, nConflicted int, members [][]int, n int) *Result {
+	counts := make([][]int, r.workers(n))
+	r.shareRounds(n, func(w, lo, hi int) {
+		tally := make([]int, len(lin.Candidates))
+		dead := make([]bool, nConflicted)
+		src := &prob.SplitMix{}
+		rng := rand.New(src)
+		count := func(c int) { tally[c]++ }
+		for round := lo; round < hi; round++ {
+			src.ReseedAt(r.Seed, round)
+			clear(dead)
+			for _, m := range members {
+				keep := drawKeep(rng, len(m), r.Policy)
+				for j, i := range m {
+					if j != keep {
+						dead[i] = true
+					}
+				}
+			}
+			lin.ForEachAnswer(dead, count)
+		}
+		counts[w] = tally
+	})
+	res := &Result{N: n, Groups: g.count}
+	for c, cand := range lin.Candidates {
+		total := 0
+		for _, tally := range counts {
+			total += tally[c]
+		}
+		if total > 0 {
+			res.Tuples = append(res.Tuples, tupleFreq(intern.Names(cand.Tuple), total, n))
+		}
+	}
+	sortTuples(res.Tuples)
+	return res
+}
+
 // tallyCell accumulates one tuple's observations across rounds.
 type tallyCell struct {
 	count int
@@ -180,99 +329,67 @@ type roundTally struct {
 	err   error
 }
 
+// runRounds runs the n rounds on repaired copies of the database, each
+// evaluated by eval.
 func (r *Runner) runRounds(eval roundEval, n int) (*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("practical: need at least one round, got %d", n)
+	g, err := r.keyGroups(n)
+	if err != nil {
+		return nil, err
 	}
-	base := r.Catalog.DB()
-	// Seal so every round clones an indexed snapshot in O(1) and the group
-	// enumeration below reads index buckets. The runner is the only writer
-	// during a run by contract.
-	base.Seal()
-	// Violating groups per keyed table (in KeyedTables order); groups are
-	// immutable across rounds, so they are enumerated exactly once per run
-	// instead of once per round.
-	var tables [][][]relation.Fact
-	for _, table := range r.Catalog.KeyedTables() {
-		t, err := r.Catalog.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, KeyGroups(base, t.Pred, len(t.Cols), r.Catalog.Key(table)))
-	}
+	return r.evalRounds(g, eval, n)
+}
 
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	tallies := make([]roundTally, workers)
-	var wg sync.WaitGroup
-	start := 0
-	for w := 0; w < workers; w++ {
-		share := n / workers
-		if w < n%workers {
-			share++
+// evalRounds is the clone-and-evaluate round: R − R_del is a copy-on-write
+// clone of the sealed database, evaluated by eval.
+func (r *Runner) evalRounds(g *roundGroups, eval roundEval, n int) (*Result, error) {
+	tallies := make([]roundTally, r.workers(n))
+	r.shareRounds(n, func(w, lo, hi int) {
+		t := &tallies[w]
+		t.cells = map[string]*tallyCell{}
+		src := &prob.SplitMix{}
+		rng := rand.New(src)
+		var dels []relation.Fact
+		var packBuf [64]byte
+		emit := func(tuple []intern.Sym) {
+			// Key by packed symbols; names materialize once per
+			// distinct tuple, never per round.
+			k := string(intern.PackSyms(packBuf[:0], tuple))
+			c := t.cells[k]
+			if c == nil {
+				c = &tallyCell{row: intern.Names(tuple)}
+				t.cells[k] = c
+			}
+			c.count++
 		}
-		wg.Add(1)
-		go func(w, start, share int) {
-			defer wg.Done()
-			t := &tallies[w]
-			t.cells = map[string]*tallyCell{}
-			src := &prob.SplitMix{}
-			rng := rand.New(src)
-			var dels []relation.Fact
-			var packBuf [64]byte
-			emit := func(tuple []intern.Sym) {
-				// Key by packed symbols; names materialize once per
-				// distinct tuple, never per round.
-				k := string(intern.PackSyms(packBuf[:0], tuple))
-				c := t.cells[k]
-				if c == nil {
-					c = &tallyCell{row: intern.Names(tuple)}
-					t.cells[k] = c
-				}
-				c.count++
+		for round := lo; round < hi; round++ {
+			src.ReseedAt(r.Seed, round)
+			dels = dels[:0]
+			for _, groups := range g.tables {
+				dels = sampleRdelInto(rng, groups, r.Policy, dels)
 			}
-			for round := start; round < start+share; round++ {
-				// Each round's randomness is a pure function of (Seed,
-				// round index), never of the worker that runs the round:
-				// partitioning the same n rounds across any number of
-				// workers draws the same n repairs, and merged tallies are
-				// sums, so runs are bit-identical for every Workers value.
-				src.ReseedAt(r.Seed, round)
-				dels = dels[:0]
-				for _, groups := range tables {
-					dels = sampleRdelInto(rng, groups, r.Policy, dels)
-				}
-				db := base
-				if len(dels) > 0 {
-					// Sorting by interned id makes every DeleteAll insertion
-					// an append into the clone's removed set: the round's
-					// repair costs O(|R_del| log |R_del|), not O(|D|).
-					slices.SortFunc(dels, func(a, b relation.Fact) int {
-						if a.ID() < b.ID() {
-							return -1
-						}
-						if a.ID() > b.ID() {
-							return 1
-						}
-						return 0
-					})
-					db = base.Clone()
-					db.DeleteAll(dels)
-				}
-				if err := eval(db, emit); err != nil {
-					t.err = err
-					return
-				}
+			db := g.base
+			if len(dels) > 0 {
+				// Sorting by interned id makes every DeleteAll insertion
+				// an append into the clone's removed set: the round's
+				// repair costs O(|R_del| log |R_del|), not O(|D|).
+				slices.SortFunc(dels, func(a, b relation.Fact) int {
+					if a.ID() < b.ID() {
+						return -1
+					}
+					if a.ID() > b.ID() {
+						return 1
+					}
+					return 0
+				})
+				db = g.base.Clone()
+				db.DeleteAll(dels)
 			}
-		}(w, start, share)
-		start += share
-	}
-	wg.Wait()
+			if err := eval(db, emit); err != nil {
+				t.err = err
+				return
+			}
+		}
+	})
 
 	merged := map[string]*tallyCell{}
 	for i := range tallies {
@@ -289,18 +406,22 @@ func (r *Runner) runRounds(eval roundEval, n int) (*Result, error) {
 			m.count += c.count
 		}
 	}
-	res := &Result{N: n}
+	res := &Result{N: n, Groups: g.count}
 	for _, c := range merged {
-		res.Tuples = append(res.Tuples, TupleFreq{
-			Row:   c.row,
-			Count: c.count,
-			P:     float64(c.count) / float64(n),
-		})
+		res.Tuples = append(res.Tuples, tupleFreq(c.row, c.count, n))
 	}
-	// Sort by the tuples themselves: TupleKey is a process-local interned
-	// encoding with no stable order.
-	slices.SortFunc(res.Tuples, func(a, b TupleFreq) int {
+	sortTuples(res.Tuples)
+	return res, nil
+}
+
+func tupleFreq(row []string, count, n int) TupleFreq {
+	return TupleFreq{Row: row, Count: count, P: float64(count) / float64(n)}
+}
+
+// sortTuples orders the result by the tuples themselves: TupleKey is a
+// process-local interned encoding with no stable order.
+func sortTuples(tuples []TupleFreq) {
+	slices.SortFunc(tuples, func(a, b TupleFreq) int {
 		return slices.Compare(a.Row, b.Row)
 	})
-	return res, nil
 }

@@ -23,6 +23,15 @@
 //     Hoeffding guarantee carries over); everything else falls back to
 //     self-normalized importance sampling from the uniform-support walk
 //     (no finite-sample guarantee; Run.Weighted and Run.ESS report it).
+//   - Answering walks: when Σ has no TGDs every step deletes a fact of a
+//     root violation, so each result is D minus some involved facts. A
+//     conjunctive query whose output variables all occur in its body is
+//     then answered from its witness lineage (fo.Query.Lineage, built once
+//     per run over the initial database with the root's involved facts as
+//     the conflicted list): a successful walk marks the involved facts its
+//     result lacks and reads the answers off the lineage, for walk mode
+//     and both uniform paths alike. TGD instances (walks may insert facts)
+//     and other queries evaluate the query on every result.
 //   - Run / TupleEstimate: results, sorted lexicographically by tuple.
 //
 // # Invariants (the determinism contract)

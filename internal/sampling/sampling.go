@@ -12,6 +12,7 @@ import (
 	"repro/internal/intern"
 	"repro/internal/markov"
 	"repro/internal/prob"
+	"repro/internal/relation"
 	"repro/internal/repair"
 )
 
@@ -212,6 +213,50 @@ type tallyCell struct {
 	tuple []string
 }
 
+// answerer evaluates the query on the results of successful walks. When
+// Σ has no TGDs every operation is a deletion (with no TGD there is
+// nothing to insert, null or grounded), and every fact a walk deletes
+// belongs to a violation of the root — the violations of a subset of D
+// are violations of D. A conjunctive query whose output variables all
+// occur in its body is then answered from its witness lineage over the
+// initial database, with the root's involved facts as the conflicted
+// list; any other query or Σ is evaluated on each walk's result.
+type answerer struct {
+	q          *fo.Query
+	lin        *fo.Lineage // nil: evaluate q on every result
+	conflicted []relation.Fact
+}
+
+func (e *Estimator) answerer(q *fo.Query) *answerer {
+	a := &answerer{q: q}
+	if e.Inst.Sigma().HasTGDs() {
+		return a
+	}
+	conflicted := e.Inst.Root().Violations().InvolvedFacts()
+	if lin, ok := q.Lineage(e.Inst.Initial(), conflicted); ok {
+		a.lin, a.conflicted = lin, conflicted
+	}
+	return a
+}
+
+// scratch returns a worker's buffer for forEach.
+func (a *answerer) scratch() []bool { return make([]bool, len(a.conflicted)) }
+
+// forEach calls emit once per answer of the query on s.Result(). dead is
+// the calling worker's scratch buffer; the tuple slice must not be
+// retained.
+func (a *answerer) forEach(s *repair.State, dead []bool, emit func(tuple []intern.Sym)) {
+	res := s.Result()
+	if a.lin == nil {
+		a.q.ForEachAnswerSyms(res, emit)
+		return
+	}
+	for i, f := range a.conflicted {
+		dead[i] = !res.Contains(f)
+	}
+	a.lin.ForEachAnswer(dead, func(c int) { emit(a.lin.Candidates[c].Tuple) })
+}
+
 type walkTally struct {
 	success int
 	failing int
@@ -223,8 +268,14 @@ func (e *Estimator) run(q *fo.Query, n int) (*Run, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sampling: need at least one walk, got %d", n)
 	}
+	return e.runWith(e.answerer(q), n)
+}
+
+// runWith performs the n walks of the estimator's mode, answering each
+// successful walk through ans.
+func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 	if e.Mode == markov.SequenceUniform {
-		return e.runUniform(q, n)
+		return e.runUniform(ans, n)
 	}
 	workers := e.Workers
 	if workers < 1 {
@@ -250,6 +301,7 @@ func (e *Estimator) run(q *fo.Query, n int) (*Run, error) {
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
 			var packBuf [64]byte
+			dead := ans.scratch()
 			tally := func(tuple []intern.Sym) {
 				// Key by packed symbols — no name lookups, no string
 				// round trip; the key string and the names materialize
@@ -279,7 +331,7 @@ func (e *Estimator) run(q *fo.Query, n int) (*Run, error) {
 					continue
 				}
 				t.success++
-				q.ForEachAnswerSyms(s.Result(), tally)
+				ans.forEach(s, dead, tally)
 			}
 		}(w, start, share)
 		start += share

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/fo"
 	"repro/internal/intern"
 	"repro/internal/markov"
 	"repro/internal/prob"
@@ -52,7 +51,7 @@ type seqDraw struct {
 }
 
 // runUniform performs n uniform-mode walks and assembles the weighted run.
-func (e *Estimator) runUniform(q *fo.Query, n int) (*Run, error) {
+func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 	workers := e.Workers
 	if workers < 1 {
 		workers = 1
@@ -84,6 +83,7 @@ func (e *Estimator) runUniform(q *fo.Query, n int) (*Run, error) {
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
 			var packBuf [64]byte
+			dead := ans.scratch()
 			for i := start; i < start+share; i++ {
 				src.ReseedAt(e.Seed, i)
 				d := &draws[i]
@@ -100,7 +100,7 @@ func (e *Estimator) runUniform(q *fo.Query, n int) (*Run, error) {
 					continue
 				}
 				d.success = true
-				q.ForEachAnswerSyms(s.Result(), func(tuple []intern.Sym) {
+				ans.forEach(s, dead, func(tuple []intern.Sym) {
 					d.keys = append(d.keys, string(intern.PackSyms(packBuf[:0], tuple)))
 					d.tuples = append(d.tuples, intern.Names(tuple))
 				})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/fo"
 	"repro/internal/intern"
-	"repro/internal/logic"
 	"repro/internal/plan"
 	"repro/internal/relation"
 )
@@ -117,88 +116,40 @@ func (e *Encoder) ConflictFacts() int { return len(e.facts) }
 // the conjunction base ∧ clauses is satisfiable iff some repair breaks
 // every witness — iff the tuple is NOT certain. A witness whose facts are
 // all conflict-free survives in every repair: the tuple is certain with
-// no solver call (certain=true, clauses dropped).
+// no solver call (certain=true, no clauses).
 type candidate struct {
 	tuple   []string
 	witness [][]Lit
-	witSeen map[string]bool
 	certain bool
 }
 
-// collect enumerates the query's homomorphisms over the full database
-// once — repairs are subsets and the query is monotone, so every witness
-// in every repair appears here — grouping witness clauses by answer
-// tuple. Candidates come back sorted by tuple.
+// collect maps the query's witness lineage over the full database
+// (fo.Query.Lineage, with the encoder's variable facts as the conflicted
+// list) to witness clauses: conflicted fact i is keep-variable i+1, and
+// each distinct witness becomes one clause of negated variables, in the
+// order the lineage pass met it. Repairs are subsets and the query is
+// monotone, so every witness in every repair appears in the lineage.
+// Candidates come back sorted by tuple.
 func (e *Encoder) collect(q *fo.Query) ([]*candidate, error) {
-	atoms, unconstrained, ok := q.CQ()
+	lin, ok := q.Lineage(e.db, e.facts)
 	if !ok {
+		if _, unconstrained, cq := q.CQ(); cq {
+			return nil, fmt.Errorf("%w: %d output variables do not occur in the body", ErrUnsupportedQuery, len(unconstrained))
+		}
 		return nil, fmt.Errorf("%w: body is not a conjunction of positive atoms", ErrUnsupportedQuery)
 	}
-	if len(unconstrained) > 0 {
-		return nil, fmt.Errorf("%w: %d output variables do not occur in the body", ErrUnsupportedQuery, len(unconstrained))
+	cands := make([]*candidate, len(lin.Candidates))
+	for i, lc := range lin.Candidates {
+		c := &candidate{tuple: intern.Names(lc.Tuple), certain: lc.Certain}
+		for _, w := range lc.Witnesses {
+			cl := make([]Lit, len(w))
+			for j, idx := range w {
+				cl[j] = -Var(idx + 1)
+			}
+			c.witness = append(c.witness, cl)
+		}
+		cands[i] = c
 	}
-	byKey := map[string]*candidate{}
-	var cands []*candidate
-	var packBuf [64]byte
-	var keyBuf [64]byte
-	tuple := make([]intern.Sym, len(q.Out))
-	wvars := make([]Var, 0, 8)
-	relation.ForEachHom(atoms, e.db, logic.NewSubst(), func(h logic.Subst) bool {
-		for i, v := range q.Out {
-			c, _ := h.Lookup(v.Sym())
-			tuple[i] = c
-		}
-		k := string(intern.PackSyms(packBuf[:0], tuple))
-		cand := byKey[k]
-		if cand == nil {
-			cand = &candidate{tuple: intern.Names(tuple), witSeen: map[string]bool{}}
-			byKey[k] = cand
-			cands = append(cands, cand)
-		}
-		if cand.certain {
-			return true
-		}
-		wvars = wvars[:0]
-		for _, a := range atoms {
-			f := relation.MustFactFromAtom(h.ApplyAtom(a))
-			v, conflicted := e.vars[f.ID()]
-			if !conflicted {
-				continue
-			}
-			dup := false
-			for _, have := range wvars {
-				if have == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				wvars = append(wvars, v)
-			}
-		}
-		if len(wvars) == 0 {
-			// A conflict-free witness: present in every repair.
-			cand.certain = true
-			cand.witness = nil
-			cand.witSeen = nil
-			return true
-		}
-		sort.Slice(wvars, func(i, j int) bool { return wvars[i] < wvars[j] })
-		kb := keyBuf[:0]
-		for _, v := range wvars {
-			kb = append(kb, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		wk := string(kb)
-		if !cand.witSeen[wk] {
-			cand.witSeen[wk] = true
-			cl := make([]Lit, len(wvars))
-			for i, v := range wvars {
-				cl[i] = -v
-			}
-			cand.witness = append(cand.witness, cl)
-		}
-		return true
-	})
 	sort.Slice(cands, func(i, j int) bool {
 		return lessTuples(cands[i].tuple, cands[j].tuple)
 	})

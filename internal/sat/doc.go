@@ -21,11 +21,13 @@
 // it") and encodes each group's cardinality constraint — pairwise for
 // small groups, the sequential ladder encoding above that
 // (CNF.AtMostOne). A conjunctive query is compiled per candidate tuple:
-// each homomorphism into the FULL database whose projection is the tuple
-// contributes one witness clause, the disjunction of the negated
-// keep-variables of its conflicted facts (witnesses are found once,
-// globally — repairs are subsets of the database and CQs are monotone,
-// so no repair has a witness the database lacks). The conjunction
+// each distinct witness — a homomorphism image in the FULL database whose
+// projection is the tuple — contributes one witness clause, the
+// disjunction of the negated keep-variables of its conflicted facts. The
+// witnesses come from fo.Query.Lineage, one pass over the database shared
+// with the samplers (repairs are subsets of the database and CQs are
+// monotone, so no repair has a witness the database lacks); the encoder
+// runs no homomorphism search of its own. The conjunction
 //
 //	group constraints ∧ all witness clauses of t
 //
