@@ -608,9 +608,10 @@ func BenchmarkFactored(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fac, err := core.ComputeFactoredOpts(inst, generators.Uniform{},
+				fac, err := core.ComputeFactoredDelta(inst.Initial(), inst.Sigma(), generators.Uniform{},
 					markov.ExploreOptions{Workers: tc.workers},
-					core.FactoredOptions{NoCache: tc.nocache})
+					core.FactoredOptions{NoCache: tc.nocache},
+					core.FactoredDelta{Part: abc.NewPartition(inst.Root().Violations())})
 				if err != nil {
 					b.Fatal(err)
 				}

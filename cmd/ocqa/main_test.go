@@ -6,6 +6,8 @@ package main
 // (including the DIMACS export directory).
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,5 +106,46 @@ func TestSATModeRejectsNonKeyConstraints(t *testing.T) {
 	err := runWith(testDB, "inline:R(X, Y), R(Y, X) -> false.", testQuery, "sat", false, "")
 	if err == nil || !strings.Contains(err.Error(), "-mode exact") {
 		t.Fatalf("want unsupported-constraints error pointing at -mode exact, got %v", err)
+	}
+}
+
+// TestSATModeDIMACSDeterministic: two exports of the same input, in one
+// process, write byte-identical files. The witness clauses follow the
+// join's homomorphism order, which walks each predicate's facts in the
+// order Database.Seal lays them out, so that layout must not depend on a
+// map walk. 600 facts make the parser's database auto-seal part way
+// through, so the final seal starts from a non-empty snapshot.
+func TestSATModeDIMACSDeterministic(t *testing.T) {
+	var db strings.Builder
+	db.WriteString("inline:")
+	for k := 0; k < 150; k++ {
+		for v := 0; v < 2; v++ {
+			fmt.Fprintf(&db, "R(k%d, v%d_%d). S(k%d, w%d_%d). ", k, k, v, k, k, v)
+		}
+	}
+	const sigma = "inline:R(X, Y), R(X, Z) -> Y = Z. S(X, Y), S(X, Z) -> Y = Z."
+	const query = "inline:Q(X) := exists Y, Z: (R(X, Y) & S(X, Z))."
+	dirs := []string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	for _, dir := range dirs {
+		if err := runWith(db.String(), sigma, query, "sat", false, dir); err != nil {
+			t.Fatalf("-mode sat -dimacs: %v", err)
+		}
+	}
+	entries, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 150 {
+		t.Fatalf("wrote %d files, want one per candidate (150)", len(entries))
+	}
+	for _, e := range entries {
+		a, errA := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if errA != nil || errB != nil {
+			t.Fatalf("read %s: %v, %v", e.Name(), errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between two exports of the same input", e.Name())
+		}
 	}
 }

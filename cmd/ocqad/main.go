@@ -9,7 +9,7 @@
 //
 //	ocqad -db data.facts -constraints schema.rules \
 //	      [-gen uniform|uniform-deletions|preference|trust[:seed]] \
-//	      [-addr :8080] [-workers 4] [-shards 4] [-max-states 1000000] \
+//	      [-addr :8080] [-workers 4] [-max-states 1000000] \
 //	      [-eps 0.05] [-delta 0.05] [-seed 1] [-compact 4096] \
 //	      [-log ocqad.oplog]
 //
@@ -17,8 +17,9 @@
 // (per-component weights) and the constraints TGD-free — the factored
 // engine's requirements. See cmd/ocqad/README.md for the HTTP API.
 //
-// -shards sizes the resident writer shard pool that explores conflict
-// islands in parallel; served answers are bit-identical for every value.
+// -workers sizes the pool that explores conflict islands, in the initial
+// build and in every publication; served answers are bit-identical for
+// every value. -shards is deprecated and ignored.
 // -log names an append-only ingest log: every published batch is recorded
 // and replayed on the next startup against the same -db corpus, so a
 // restart resumes from the exact pre-shutdown snapshot — same version,
@@ -30,7 +31,7 @@
 // probabilities against a from-scratch recompute and — when -log is set —
 // restarts the server from the log and verifies the replayed snapshot
 // matches exactly, then exits 0 on success. CI runs it under the race
-// detector, with shards > 1 and a kill-and-replay cycle.
+// detector, with workers > 1 and a kill-and-replay cycle.
 package main
 
 import (
@@ -57,7 +58,7 @@ func main() {
 		genName   = flag.String("gen", "uniform", "chain generator: "+cliutil.GeneratorNames())
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "component workers per recompute (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "writer shards exploring conflict islands (0 = min(GOMAXPROCS, 8))")
+		_         = flag.Int("shards", 0, "deprecated: ignored (publications explore on the -workers pool)")
 		maxStates = flag.Int("max-states", 1_000_000, "per-component state budget (0 = unlimited)")
 		eps       = flag.Float64("eps", 0.05, "additive error ε of the degradation estimator")
 		delta     = flag.Float64("delta", 0.05, "failure probability δ of the degradation estimator")
@@ -69,7 +70,6 @@ func main() {
 	flag.Parse()
 	opts := serve.Options{
 		Workers:      *workers,
-		Shards:       *shards,
 		MaxStates:    *maxStates,
 		Eps:          *eps,
 		Delta:        *delta,

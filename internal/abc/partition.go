@@ -2,7 +2,6 @@ package abc
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/constraint"
 	"repro/internal/relation"
@@ -35,9 +34,6 @@ type Island struct {
 	Facts []relation.Fact
 	// vios are the violations whose bodies live in this island.
 	vios []constraint.Violation
-	// hash memoizes Hash (0 = not yet computed; a true zero hash is
-	// recomputed on every call, which changes nothing but the cost).
-	hash atomic.Uint64
 
 	// Payload is an opaque slot for a higher layer to attach what it derived
 	// from the island's fact set (core attaches the component's local
@@ -51,34 +47,6 @@ type Island struct {
 // Violations returns the violations inducing the island; the slice is
 // shared and must not be modified.
 func (isl *Island) Violations() []constraint.Violation { return isl.vios }
-
-// Hash returns a deterministic identity hash of the island: an FNV-1a
-// hash of its smallest fact's predicate and constant names. Hashing
-// content rather than interned ids makes the value a pure function of the
-// island's data — stable across the partitions of a lineage that share
-// the island, and reproducible across process restarts whatever else the
-// process happened to intern. internal/serve routes islands to its
-// resident writer shards with it, so shard attribution survives an
-// op-log replay bit-for-bit.
-func (isl *Island) Hash() uint64 {
-	if h := isl.hash.Load(); h != 0 {
-		return h
-	}
-	const offset, prime = 14695981039346656037, 1099511628211
-	f := isl.Facts[0]
-	h := uint64(offset)
-	for _, b := range []byte(f.PredName()) {
-		h = (h ^ uint64(b)) * prime
-	}
-	for _, name := range f.ArgNames() {
-		h = (h ^ 0xff) * prime // field separator
-		for _, b := range []byte(name) {
-			h = (h ^ uint64(b)) * prime
-		}
-	}
-	isl.hash.Store(h)
-	return h
-}
 
 // factLayer is one layer of the partition's persistent fact→island index: a
 // small overlay map over an immutable parent chain. A nil island value is a

@@ -45,6 +45,10 @@
 //     a fixed search budget a component keeps its first-occurrence
 //     renaming. Keys compare canonical fact ids, never hashes, so
 //     equal keys always mean isomorphic components.
+//     ComputeFactored is the from-scratch form of ComputeFactoredDelta,
+//     the one factored build: it carries the components a delta left
+//     untouched and explores the rest (build.go); internal/serve calls it
+//     once per publication.
 //   - Aggregate queries (aggregate.go) and UniformOverRepairs (the
 //     "equally likely repairs" measure of Section 6) round out the
 //     semantics variants.

@@ -201,8 +201,6 @@ func (c *Component) marginal(fact relation.Fact) *big.Rat {
 type Factored struct {
 	initial *relation.Database
 	sigma   *constraint.Set
-	inst    *repair.Instance // set by ComputeFactored; rebuilt on demand otherwise
-	gen     markov.Generator
 	part    *abc.Partition
 	// Untouched holds the facts in no violation; they survive every
 	// deletion-only repair.
@@ -271,6 +269,17 @@ func (c *SemanticsCache) begin() uint64 {
 	return c.calls
 }
 
+// drop removes the entries created under call.
+func (c *SemanticsCache) drop(call uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.entries {
+		if e.call == call {
+			delete(c.entries, k)
+		}
+	}
+}
+
 func (c *SemanticsCache) entry(key string, call uint64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -282,7 +291,7 @@ func (c *SemanticsCache) entry(key string, call uint64) *cacheEntry {
 	return e
 }
 
-// FactoredOptions tunes ComputeFactoredOpts beyond the exploration options.
+// FactoredOptions tunes ComputeFactoredDelta beyond the exploration options.
 type FactoredOptions struct {
 	// NoCache disables the structural semantics cache even for structural
 	// generators; every component is explored directly. Benchmarks use it
@@ -324,47 +333,31 @@ type FactoredDelta struct {
 	Ops []FactDelta
 }
 
-// ComputeFactored builds the factorized semantics. It requires a
-// constraint set without TGDs (so chains are deletion-only and components
-// never interact) and a LocalGenerator. Per-component explorations run on
-// opt.Workers goroutines (≤ 0 means GOMAXPROCS), and structural generators
-// share one exploration across isomorphic components; the result is
-// bit-identical for every worker count and cache state.
+// ComputeFactored builds the factorized semantics from scratch. It
+// requires a constraint set without TGDs (so chains are deletion-only and
+// components never interact) and a LocalGenerator. Per-component
+// explorations run on opt.Workers goroutines (≤ 0 means GOMAXPROCS), and
+// structural generators share one exploration across isomorphic
+// components; the result is bit-identical for every worker count and cache
+// state.
 func ComputeFactored(inst *repair.Instance, g LocalGenerator, opt markov.ExploreOptions) (*Factored, error) {
-	return ComputeFactoredOpts(inst, g, opt, FactoredOptions{})
-}
-
-// ComputeFactoredOpts is ComputeFactored with explicit factored options.
-func ComputeFactoredOpts(inst *repair.Instance, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions) (*Factored, error) {
 	// The root state caches V(D,Σ); reuse it instead of re-running the
 	// homomorphism search, and form components with the id-keyed
 	// union-find of the abc package.
-	part := abc.NewPartition(inst.Root().Violations())
-	return buildFactored(inst.Initial(), inst.Sigma(), inst, g, opt, fopt, part, nil)
+	return ComputeFactoredDelta(inst.Initial(), inst.Sigma(), g, opt, FactoredOptions{},
+		FactoredDelta{Part: abc.NewPartition(inst.Root().Violations())})
 }
 
 // ComputeFactoredDelta rebuilds the factorized semantics of db after a
 // delta: components untouched by the delta (d.Part islands carried from
-// d.Prev) are reused verbatim, and only the fresh islands are explored —
-// against the persistent structural cache when one is passed. db is the
-// post-delta database; with d.Prev nil this is a from-scratch build over
-// d.Part. The result is a pure function of (db, Σ, generator, options),
-// bit-identical to a from-scratch ComputeFactored on db for every worker
-// count, reuse pattern, and cache state.
+// d.Prev) are reused verbatim, and only the fresh islands are explored, on
+// opt.Workers goroutines — against the persistent structural cache when
+// one is passed. db is the post-delta database; with d.Prev nil this is a
+// from-scratch build over d.Part. The result is a pure function of (db, Σ,
+// generator, options), bit-identical to a from-scratch ComputeFactored on
+// db for every worker count, reuse pattern, and cache state. Explored
+// islands carry their Component as Payload into later delta builds.
 func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions, d FactoredDelta) (*Factored, error) {
-	var delta *FactoredDelta
-	if d.Prev != nil {
-		delta = &d
-	}
-	return buildFactored(db, sigma, nil, g, opt, fopt, d.Part, delta)
-}
-
-// untouchedCompactLimit bounds the copy-on-write delta an incrementally
-// maintained untouched core may accumulate before it is folded into a fresh
-// snapshot; see relation.Database.Compact.
-const untouchedCompactLimit = 4096
-
-func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.Instance, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions, part *abc.Partition, delta *FactoredDelta) (*Factored, error) {
 	for _, c := range sigma.All() {
 		if c.Kind() == constraint.TGD {
 			return nil, fmt.Errorf("%w: TGD %s allows insertions that may couple components", ErrNotFactorable, c)
@@ -374,12 +367,13 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 		return nil, fmt.Errorf("%w: generator %s is not local", ErrNotFactorable, g.Name())
 	}
 
+	part := d.Part
 	islands := part.Islands()
 	components := make([]*Component, len(islands))
 	var fresh []int
 	reused := 0
 	for i, isl := range islands {
-		if comp, ok := isl.Payload.(*Component); ok && delta != nil {
+		if comp, ok := isl.Payload.(*Component); ok && d.Prev != nil {
 			components[i] = comp
 			reused++
 		} else {
@@ -388,7 +382,7 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 	}
 
 	var untouched *relation.Database
-	if delta == nil {
+	if d.Prev == nil {
 		// The untouched core is assembled into a fresh database (near-linear
 		// with copy-on-write auto-sealing) rather than cloning the initial
 		// database and deleting every conflicted fact, which is quadratic at
@@ -406,7 +400,7 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 		for fi, i := range fresh {
 			freshIslands[fi] = islands[i]
 		}
-		untouched = UpdateUntouched(delta.Prev.Untouched, db, part, delta.Ops, delta.Removed, freshIslands)
+		untouched = updateUntouched(d.Prev.Untouched, db, part, d.Ops, d.Removed, freshIslands)
 	}
 
 	// Cap the inner DAG workers while several components are in flight:
@@ -417,22 +411,22 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 		inner.Workers = 1
 	}
 
-	scope := NewBuildScope(sigma, g, inner, fopt)
-	explored := make([]Explored, len(fresh))
+	scope := newBuildScope(sigma, g, inner, fopt)
+	results := make([]explored, len(fresh))
 	errs := make([]error, len(fresh))
 	work := func(fi int) {
 		i := fresh[fi]
-		e, err := scope.Explore(islands[i])
+		e, err := scope.explore(islands[i])
 		if err != nil {
 			errs[fi] = err
 			return
 		}
-		explored[fi] = e
-		components[i] = e.Comp
+		results[fi] = e
+		components[i] = e.comp
 		// Resident partitions carry the component to later delta builds;
 		// islands are private to this build until the caller publishes, so
 		// the write is unsynchronized but unshared.
-		islands[i].Payload = e.Comp
+		islands[i].Payload = e.comp
 	}
 
 	workers := opt.Workers
@@ -468,15 +462,16 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 	// which worker failed first.
 	for _, err := range errs {
 		if err != nil {
+			scope.rollback()
 			return nil, err
 		}
 	}
 
-	out := &Factored{initial: db, sigma: sigma, inst: inst, gen: g, part: part, Untouched: untouched, Components: components, Reused: reused}
-	// Deterministic accounting regardless of worker scheduling: explored is
+	out := &Factored{initial: db, sigma: sigma, part: part, Untouched: untouched, Components: components, Reused: reused}
+	// Deterministic accounting regardless of worker scheduling: results is
 	// in island order, so the first fresh component of each shape is the
 	// miss candidate and every other one a hit.
-	out.CacheHits, out.CacheMisses = scope.Accounting(explored)
+	out.CacheHits, out.CacheMisses = scope.accounting(results)
 	return out, nil
 }
 
@@ -953,18 +948,4 @@ func (f *Factored) EstimateCP(q *fo.Query, tuple []string, eps, delta float64, s
 		}
 	}
 	return float64(hits) / float64(n), nil
-}
-
-// Monolithic recomputes the unfactored semantics (for tests and the
-// ablation benchmarks).
-func (f *Factored) Monolithic(opt markov.ExploreOptions) (*Semantics, error) {
-	inst := f.inst
-	if inst == nil {
-		var err error
-		inst, err = repair.NewInstance(f.initial, f.sigma)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Compute(inst, f.gen, opt)
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"reflect"
+	"repro/internal/abc"
 	"repro/internal/constraint"
 	"testing"
 
@@ -105,8 +106,9 @@ func TestFactoredBitIdenticalAcrossWorkers(t *testing.T) {
 	var want factoredProj
 	for workers := 1; workers <= 8; workers++ {
 		for _, nocache := range []bool{false, true} {
-			fac, err := core.ComputeFactoredOpts(inst, generators.Uniform{},
-				markov.ExploreOptions{Workers: workers}, core.FactoredOptions{NoCache: nocache})
+			fac, err := core.ComputeFactoredDelta(inst.Initial(), inst.Sigma(), generators.Uniform{},
+				markov.ExploreOptions{Workers: workers}, core.FactoredOptions{NoCache: nocache},
+				core.FactoredDelta{Part: abc.NewPartition(inst.Root().Violations())})
 			if err != nil {
 				t.Fatalf("workers=%d nocache=%v: %v", workers, nocache, err)
 			}
@@ -281,8 +283,9 @@ func TestFactoredCanonFallbackKeepsAnswers(t *testing.T) {
 	}
 	inst := repair.MustInstance(d, sigma)
 	run := func(nocache bool) factoredProj {
-		fac, err := core.ComputeFactoredOpts(inst, generators.Uniform{},
-			markov.ExploreOptions{Workers: 4}, core.FactoredOptions{NoCache: nocache})
+		fac, err := core.ComputeFactoredDelta(inst.Initial(), inst.Sigma(), generators.Uniform{},
+			markov.ExploreOptions{Workers: 4}, core.FactoredOptions{NoCache: nocache},
+			core.FactoredDelta{Part: abc.NewPartition(inst.Root().Violations())})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -539,14 +539,28 @@ func (d *Database) Seal() {
 		size:   d.size,
 	}
 	var dom domCounts
-	d.forEach(func(f Fact) {
+	keep := func(f Fact) {
 		snap.facts[f] = struct{}{}
 		p := f.Pred()
 		snap.byPred[p] = append(snap.byPred[p], f)
 		for _, c := range f.Args() {
 			dom.adjust(c, 1)
 		}
-	})
+	}
+	// Each predicate keeps its old order minus the removed facts, then gains
+	// the added ones in id order — the order FactsByPred serves before the
+	// seal — so the layout, and every homomorphism order read off it, is a
+	// function of the insert/delete history, never of a map walk.
+	for _, fs := range d.snap.byPred {
+		for _, f := range fs {
+			if len(d.removed) == 0 || !d.removed.Has(f) {
+				keep(f)
+			}
+		}
+	}
+	for _, f := range d.added {
+		keep(f)
+	}
 	snap.domSyms, snap.domCnt = dom.syms, dom.cnt
 	snap.idx = buildIndex(snap.byPred)
 	d.snap = snap

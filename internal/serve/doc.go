@@ -18,12 +18,12 @@
 //     constraint.UpdateViolationsDelta (semi-naive violation maintenance,
 //     one call per run of same-kind operations) → one batched
 //     abc.Partition.Update (violation deltas net by ID, the touched
-//     region re-partitions once per publication);
-//     the batch's fresh islands then hash by content across
-//     Options.Shards resident writer shards (core.BuildScope
-//     explorations, one goroutine per shard), and a publication barrier
-//     reassembles the factored semantics, carrying every untouched
-//     component's semantics verbatim.
+//     region re-partitions once per publication) →
+//     core.ComputeFactoredDelta, the same factored build as the initial
+//     snapshot: it explores only the batch's fresh islands, on the
+//     Options.Workers pool, and carries every untouched component's
+//     semantics verbatim. The coordinator is the only goroutine the
+//     Server keeps; build workers live for one publication.
 //   - The op log (Options.LogPath): an append-only record of each
 //     publication's applied operations, replayed on startup so a
 //     restarted server rebuilds the exact pre-shutdown snapshot — same
@@ -35,15 +35,18 @@
 // # Invariants
 //
 //   - Served answers are bit-identical to computing core.ComputeFactored
-//     from scratch on the post-delta database, for every Workers and
-//     Shards setting and every coalescing pattern: component reuse is
+//     from scratch on the post-delta database, for every Workers setting
+//     and every coalescing pattern: component reuse is
 //     exact (a component whose facts and violations are untouched has
 //     the same local semantics), explorations are pure functions of the
 //     island's facts, and the exact rational arithmetic is
 //     order-independent.
 //   - Batches are atomic: a reader sees either none or all of a batch,
 //     and the Snapshot's database, violations, partition, and semantics
-//     are always mutually consistent.
+//     are always mutually consistent. A batch whose build fails (say a
+//     component past Options.MaxStates) fails every caller it coalesced
+//     and leaves the served snapshot, stats, op log, and structural
+//     cache as they were.
 //   - The structural semantics cache (core.SemanticsCache) is shared
 //     across all deltas of a Server, so recomputed components isomorphic
 //     to anything previously explored cost a renaming, not a DAG
@@ -51,8 +54,7 @@
 //     (it does: Server has no way to change it). Snapshot and payload
 //     identity is binary end to end: cache keys are the packed fact ids
 //     of the island's canonical form up to constant renaming
-//     (relation.AppendIDKey) and islands route to writer
-//     shards by content hash — the human-readable Database.Key appears
+//     (relation.AppendIDKey) — the human-readable Database.Key appears
 //     only in the HTTP JSON presentation layer.
 //   - Non-atomic queries that overflow the exact enumeration budget
 //     degrade to the (ε, δ) sampling estimator instead of failing; the

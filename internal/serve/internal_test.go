@@ -69,7 +69,7 @@ func TestIngestCoalescing(t *testing.T) {
 	}
 	defer func() { testHookApply = nil }()
 
-	s, err := New(db, sigma, generators.Uniform{}, Options{Shards: 3})
+	s, err := New(db, sigma, generators.Uniform{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

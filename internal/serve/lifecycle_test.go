@@ -16,79 +16,19 @@ import (
 	"repro/internal/workload"
 )
 
-// stripShards zeroes the per-shard breakdown of a Stats, whose layout —
-// unlike every other field — legitimately depends on the shard count.
-func stripShards(st serve.Stats) serve.Stats {
-	st.Shards = nil
-	return st
-}
-
-// TestServeShardedEquivalence: the same ingest stream served with Shards =
-// 1, 2, 3, 5, 8 publishes final snapshots whose projections — component
-// structure, exact distributions, every fact marginal — and whose stats
-// (up to the per-shard breakdown) are bit-identical, and identical to a
-// from-scratch recompute. The shard attributions themselves must cover the
-// partition and the cumulative recompute count exactly.
-func TestServeShardedEquivalence(t *testing.T) {
-	db, sigma, ops := workload.ServeMix(mixConfig(80, 0.4, 31))
-	var want snapProj
-	var wantStats serve.Stats
-	for _, shards := range []int{1, 2, 3, 5, 8} {
-		s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		last := runMix(t, s, ops)
-		got := projectSnap(last)
-		st := last.Stats()
-		if len(st.Shards) != shards {
-			t.Fatalf("shards=%d: stats report %d shards", shards, len(st.Shards))
-		}
-		islands, vios, recomputed := 0, 0, uint64(0)
-		for _, sh := range st.Shards {
-			islands += sh.Islands
-			vios += sh.Violations
-			recomputed += sh.Recomputed
-		}
-		if islands != st.Components || vios != st.Violations || recomputed != st.CumRecomputed {
-			t.Fatalf("shards=%d: shard attribution does not cover the snapshot: %d/%d islands, %d/%d violations, %d/%d recomputes",
-				shards, islands, st.Components, vios, st.Violations, recomputed, st.CumRecomputed)
-		}
-		s.Close()
-		if shards == 1 {
-			want = got
-			wantStats = stripShards(st)
-			wantComps, wantMarg := freshProj(t, last.DB, sigma, 0)
-			if !reflect.DeepEqual(got.Components, wantComps) {
-				t.Fatal("shards=1: served components differ from from-scratch recompute")
-			}
-			if !reflect.DeepEqual(got.Marginals, wantMarg) {
-				t.Fatal("shards=1: served marginals differ from from-scratch recompute")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: projection differs from shards=1", shards)
-		}
-		if !reflect.DeepEqual(stripShards(st), wantStats) {
-			t.Fatalf("shards=%d: stats differ from shards=1:\n  got  %+v\n  want %+v", shards, stripShards(st), wantStats)
-		}
-	}
-}
-
-// TestServeConcurrentShardedStreams: several goroutines drive disjoint
-// randomized ingest/query streams into one server concurrently — so
-// publications coalesce arbitrarily and islands explore on racing shards —
-// and the final snapshot must still match a from-scratch recompute of the
-// deterministic final database, for every shard count.
-func TestServeConcurrentShardedStreams(t *testing.T) {
+// TestServeConcurrentStreams: several goroutines drive disjoint randomized
+// ingest/query streams into one server concurrently — so publications
+// coalesce arbitrarily and fresh islands explore on racing workers — and the
+// final snapshot must still match a from-scratch recompute of the
+// deterministic final database, for every worker count.
+func TestServeConcurrentStreams(t *testing.T) {
 	const streams = 4
 	cfg := mixConfig(40, 0.5, 47)
-	for _, shards := range []int{1, 3, 8} {
+	for _, workers := range []int{1, 3, 8} {
 		db, sigma, streamOps := workload.ServeStreams(cfg, streams)
-		s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Shards: shards})
+		s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Workers: workers})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var wg sync.WaitGroup
 		errc := make(chan error, streams)
@@ -111,7 +51,7 @@ func TestServeConcurrentShardedStreams(t *testing.T) {
 		wg.Wait()
 		select {
 		case err := <-errc:
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		default:
 		}
 
@@ -132,11 +72,11 @@ func TestServeConcurrentShardedStreams(t *testing.T) {
 		}
 		final := s.Snapshot()
 		if !final.DB.Equal(shadow) {
-			t.Fatalf("shards=%d: final database diverged from the deterministic interleaving", shards)
+			t.Fatalf("workers=%d: final database diverged from the deterministic interleaving", workers)
 		}
 		wantComps, wantMarg := freshProj(t, shadow, sigma, 0)
 		if !reflect.DeepEqual(projectComponents(final.Fac), wantComps) {
-			t.Fatalf("shards=%d: concurrent serving diverged from from-scratch components", shards)
+			t.Fatalf("workers=%d: concurrent serving diverged from from-scratch components", workers)
 		}
 		var gotMarg []string
 		facts := shadow.Facts()
@@ -145,7 +85,7 @@ func TestServeConcurrentShardedStreams(t *testing.T) {
 			gotMarg = append(gotMarg, final.Fac.FactProbability(f).RatString())
 		}
 		if !reflect.DeepEqual(gotMarg, wantMarg) {
-			t.Fatalf("shards=%d: concurrent serving diverged from from-scratch marginals", shards)
+			t.Fatalf("workers=%d: concurrent serving diverged from from-scratch marginals", workers)
 		}
 		s.Close()
 	}
@@ -157,7 +97,7 @@ func TestServeConcurrentShardedStreams(t *testing.T) {
 // serving ingests afterwards, and survive a second restart the same way.
 func TestServeReplayRebuildsSnapshot(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "ingest.oplog")
-	opts := serve.Options{Shards: 3, LogPath: logPath}
+	opts := serve.Options{LogPath: logPath}
 	db, sigma, ops := workload.ServeMix(mixConfig(60, 0.5, 53))
 
 	s, err := serve.New(db, sigma, generators.Uniform{}, opts)
@@ -213,7 +153,7 @@ func TestServeReplayRebuildsSnapshot(t *testing.T) {
 // undecodable record is corruption and must fail the restart loudly.
 func TestServeReplayLogRobustness(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "ingest.oplog")
-	opts := serve.Options{Shards: 2, LogPath: logPath}
+	opts := serve.Options{LogPath: logPath}
 	db, sigma, ops := workload.ServeMix(mixConfig(30, 0.6, 61))
 
 	s, err := serve.New(db, sigma, generators.Uniform{}, opts)
@@ -247,6 +187,67 @@ func TestServeReplayLogRobustness(t *testing.T) {
 	}
 }
 
+// TestServeFailedPublication: a batch whose build fails — here a bridge fact
+// that merges two islands into a component past MaxStates, next to a
+// deletion that alone would publish — returns the error and leaves
+// everything as it was: the served snapshot, its version and stats, and the
+// op log, which gains no record. A later valid ingest still publishes, and a
+// restart replays to exactly the live server's final stats, so the failed
+// build left no trace in the structural cache's counters either.
+func TestServeFailedPublication(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "ingest.oplog")
+	opts := serve.Options{MaxStates: 30, LogPath: logPath}
+	db, sigma := workload.Islands(workload.IslandsConfig{Islands: 4, FactsPerIsland: 4, IsoRatio: 1, Seed: 83})
+	s, err := serve.New(db, sigma, generators.Uniform{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := relation.NewFact("E", "i00000000_n001", "i00000000_n002")
+	if _, err := s.Ingest([]serve.Op{{Fact: split}}); err != nil {
+		t.Fatalf("valid ingest: %v", err)
+	}
+	before := s.Snapshot()
+	wantStats := s.Stats()
+	wantLog, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bridge := relation.NewFact("E", "i00000001_n004", "i00000002_n000")
+	split3 := relation.NewFact("E", "i00000003_n001", "i00000003_n002")
+	if _, err := s.Ingest([]serve.Op{{Fact: split3}, {Fact: bridge, Insert: true}}); err == nil {
+		t.Fatal("a merge past MaxStates published")
+	}
+	if s.Snapshot() != before || s.Snapshot().Version() != wantStats.Version {
+		t.Fatal("a failed build replaced the served snapshot")
+	}
+	if got := s.Stats(); !reflect.DeepEqual(got, wantStats) {
+		t.Fatalf("a failed build changed the stats:\n  got  %+v\n  want %+v", got, wantStats)
+	}
+	if got, err := os.ReadFile(logPath); err != nil || string(got) != string(wantLog) {
+		t.Fatalf("a failed build touched the op log (err %v)", err)
+	}
+
+	sn, err := s.Ingest([]serve.Op{{Fact: split3}})
+	if err != nil {
+		t.Fatalf("valid ingest after a failed build: %v", err)
+	}
+	if sn.Version() != wantStats.Version+1 {
+		t.Fatalf("ingest after a failed build published version %d, want %d", sn.Version(), wantStats.Version+1)
+	}
+	finalStats := s.Stats()
+	s.Close()
+
+	s2, err := serve.New(db, sigma, generators.Uniform{}, opts)
+	if err != nil {
+		t.Fatalf("restart with replay: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.Stats(); !reflect.DeepEqual(got, finalStats) {
+		t.Fatalf("replay diverges from the live server:\n  got  %+v\n  want %+v", got, finalStats)
+	}
+}
+
 func appendRaw(t *testing.T, path, chunk string) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -267,7 +268,7 @@ func appendRaw(t *testing.T, path, chunk string) {
 // instead of a test timeout.
 func TestServeIngestCloseRace(t *testing.T) {
 	db, sigma := workload.Islands(workload.IslandsConfig{Islands: 8, FactsPerIsland: 3, IsoRatio: 1, Seed: 71})
-	s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Shards: 4})
+	s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

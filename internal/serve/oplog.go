@@ -20,9 +20,9 @@ import (
 // order. Logging effective ops per publication — rather than raw request
 // batches — makes replay exactly reproduce the live run's publication
 // boundaries: every record bumps the version by one and re-derives the
-// same violations, partition churn, shard attribution, and counters, so
-// the replayed server's Stats match the pre-shutdown Stats field for
-// field (given the same base database and Options).
+// same violations, partition churn, and counters, so the replayed
+// server's Stats match the pre-shutdown Stats field for field (given the
+// same base database and Options).
 //
 // Facts are stored as predicate + argument names, not interned ids or
 // parser text, so records are immune to interning order and to constants

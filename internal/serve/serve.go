@@ -20,14 +20,13 @@ var ErrClosed = errors.New("serve: server closed")
 
 // Options tunes a Server.
 type Options struct {
-	// Workers sizes the component worker pool of the initial build and the
-	// inner DAG exploration of single-island deltas (≤ 0 means GOMAXPROCS).
-	// Served answers are bit-identical for every value.
+	// Workers sizes the component worker pool of every build — the initial
+	// one and each publication's fresh islands — and the inner DAG
+	// exploration of single-island deltas (≤ 0 means GOMAXPROCS). Served
+	// answers are bit-identical for every value.
 	Workers int
-	// Shards sizes the resident writer shard pool: conflict islands hash to
-	// shards by content, and each shard explores its islands on its own
-	// goroutine (default min(GOMAXPROCS, 8)). Served answers are
-	// bit-identical for every value.
+	// Deprecated: ignored. Publications explore their fresh islands on the
+	// Workers pool; the field stays until its last callers drop it.
 	Shards int
 	// MaxStates bounds each component's DAG exploration (0 = unbounded).
 	MaxStates int
@@ -61,12 +60,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards > 8 {
-			o.Shards = 8
-		}
-	}
 	if o.Eps <= 0 {
 		o.Eps = 0.05
 	}
@@ -86,17 +79,6 @@ func (o Options) withDefaults() Options {
 type Op struct {
 	Fact   relation.Fact
 	Insert bool
-}
-
-// ShardStats describes one writer shard.
-type ShardStats struct {
-	// Islands and Violations size the shard's slice of the current
-	// snapshot's conflict partition.
-	Islands    int `json:"islands"`
-	Violations int `json:"violations"`
-	// Recomputed counts the component explorations this shard has run over
-	// the server's lifetime, including its share of the initial build.
-	Recomputed uint64 `json:"recomputed"`
 }
 
 // Stats describes a published snapshot.
@@ -129,9 +111,6 @@ type Stats struct {
 	// CacheShapes is the number of distinct component shapes resident in
 	// the structural cache.
 	CacheShapes int `json:"cache_shapes"`
-	// Shards describes the writer shards' partition slices and cumulative
-	// recompute counts.
-	Shards []ShardStats `json:"shards"`
 }
 
 // Snapshot is one published, immutable serving state: the database, its
@@ -160,13 +139,12 @@ func (sn *Snapshot) Stats() Stats { return sn.stats }
 // proportional to the delta's touched region. The coordinator drains every
 // request queued behind the one it is serving into the same publication, so
 // N concurrent callers pay one recompute and one snapshot publish between
-// them; the touched islands are hashed by content across Options.Shards
-// resident shard goroutines, each exploring its slice of the partition, and
-// a publication barrier reassembles the snapshot — served answers are
-// bit-identical to the single-shard path for every shard count. The
-// structural semantics cache stays warm across deltas, so a recomputed
-// component that is isomorphic to anything ever explored costs one
-// renaming, not a DAG exploration.
+// them; the touched islands are explored by core.ComputeFactoredDelta on the
+// Options.Workers pool, which carries every untouched component verbatim —
+// served answers are bit-identical for every worker count. The structural
+// semantics cache stays warm across deltas, so a recomputed component that
+// is isomorphic to anything ever explored costs one renaming, not a DAG
+// exploration.
 type Server struct {
 	sigma *constraint.Set
 	gen   core.LocalGenerator
@@ -175,17 +153,13 @@ type Server struct {
 
 	cur atomic.Pointer[Snapshot]
 
-	shards  []*shard
-	shardWG sync.WaitGroup
-
 	oplog *opLog
 
-	mu              sync.Mutex // serializes apply; the coordinator loop is the usual sole caller
-	cumOps          uint64
-	cumRecomputed   uint64
-	lastBatchOps    int
-	maxBatchOps     int
-	shardRecomputed []uint64
+	mu            sync.Mutex // serializes apply; the coordinator loop is the usual sole caller
+	cumOps        uint64
+	cumRecomputed uint64
+	lastBatchOps  int
+	maxBatchOps   int
 
 	reqs      chan ingestReq
 	done      chan struct{}
@@ -203,36 +177,6 @@ type ingestReq struct {
 	reply chan applyResult
 }
 
-// shard is one resident writer shard: a goroutine draining exploration
-// tasks for the islands that hash to it.
-type shard struct {
-	tasks chan shardTask
-}
-
-// shardTask is one island exploration: the shard explores isl under scope,
-// parks the result (or the error) in the coordinator's slot, attaches the
-// component as the island's payload, and signals the publication barrier.
-type shardTask struct {
-	scope *core.BuildScope
-	isl   *abc.Island
-	out   *core.Explored
-	errp  *error
-	wg    *sync.WaitGroup
-}
-
-func (sh *shard) run() {
-	for t := range sh.tasks {
-		e, err := t.scope.Explore(t.isl)
-		if err != nil {
-			*t.errp = err
-		} else {
-			*t.out = e
-			t.isl.Payload = e.Comp
-		}
-		t.wg.Done()
-	}
-}
-
 // testHookApply, when set before New, observes every apply's coalesced
 // operation batch before it runs; tests use it to hold a publication open
 // while further ingests queue behind it.
@@ -240,20 +184,18 @@ var testHookApply func(ops []Op)
 
 // New builds the initial snapshot from the database (which is copied, not
 // retained), replays the op log when Options.LogPath names one, and starts
-// the writer goroutines. The generator must be local (the factored
+// the coordinator goroutine. The generator must be local (the factored
 // engine's requirement) and Σ must be TGD-free.
 func New(db *relation.Database, sigma *constraint.Set, gen core.LocalGenerator, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		sigma:           sigma,
-		gen:             gen,
-		opts:            opts,
-		cache:           core.NewSemanticsCache(),
-		shards:          make([]*shard, opts.Shards),
-		shardRecomputed: make([]uint64, opts.Shards),
-		reqs:            make(chan ingestReq, opts.QueueDepth),
-		done:            make(chan struct{}),
-		loopDone:        make(chan struct{}),
+		sigma:    sigma,
+		gen:      gen,
+		opts:     opts,
+		cache:    core.NewSemanticsCache(),
+		reqs:     make(chan ingestReq, opts.QueueDepth),
+		done:     make(chan struct{}),
+		loopDone: make(chan struct{}),
 	}
 	initial := db.Clone()
 	initial.Seal()
@@ -264,13 +206,9 @@ func New(db *relation.Database, sigma *constraint.Set, gen core.LocalGenerator, 
 		return nil, err
 	}
 	s.cumRecomputed = uint64(len(fac.Components))
-	for _, isl := range part.Islands() {
-		s.shardRecomputed[s.shardOf(isl)]++
-	}
 	snap := &Snapshot{DB: initial, Violations: vs, Part: part, Fac: fac}
 	snap.stats = s.statsFor(snap, 0)
 	s.cur.Store(snap)
-	s.startShards()
 	if opts.LogPath != "" {
 		// Replay before accepting traffic: each logged record was one live
 		// publication's applied operations, so re-applying them batch by
@@ -281,13 +219,11 @@ func New(db *relation.Database, sigma *constraint.Set, gen core.LocalGenerator, 
 		// re-appended.
 		lg, batches, err := openOpLog(opts.LogPath)
 		if err != nil {
-			s.stopShards()
 			return nil, err
 		}
 		for _, ops := range batches {
 			if _, err := s.apply(ops); err != nil {
 				lg.Close()
-				s.stopShards()
 				return nil, err
 			}
 		}
@@ -305,46 +241,7 @@ func (s *Server) fopt() core.FactoredOptions {
 	return core.FactoredOptions{NoCache: s.opts.NoCache, Cache: s.cache}
 }
 
-// shardOf routes an island to its writer shard by content hash, so the
-// assignment is a pure function of the island's data — identical across
-// restarts and replays.
-func (s *Server) shardOf(isl *abc.Island) int {
-	return int(isl.Hash() % uint64(len(s.shards)))
-}
-
-// shardTaskBuffer bounds a shard's pending exploration queue; a full queue
-// only stalls the coordinator's dispatch, never loses a task.
-const shardTaskBuffer = 256
-
-func (s *Server) startShards() {
-	for i := range s.shards {
-		sh := &shard{tasks: make(chan shardTask, shardTaskBuffer)}
-		s.shards[i] = sh
-		s.shardWG.Add(1)
-		go func() {
-			defer s.shardWG.Done()
-			sh.run()
-		}()
-	}
-}
-
-func (s *Server) stopShards() {
-	for _, sh := range s.shards {
-		close(sh.tasks)
-	}
-	s.shardWG.Wait()
-}
-
 func (s *Server) statsFor(snap *Snapshot, version uint64) Stats {
-	shards := make([]ShardStats, len(s.shards))
-	for _, isl := range snap.Part.Islands() {
-		i := s.shardOf(isl)
-		shards[i].Islands++
-		shards[i].Violations += len(isl.Violations())
-	}
-	for i := range shards {
-		shards[i].Recomputed = s.shardRecomputed[i]
-	}
 	return Stats{
 		Version:       version,
 		Facts:         snap.DB.Size(),
@@ -360,7 +257,6 @@ func (s *Server) statsFor(snap *Snapshot, version uint64) Stats {
 		CumOps:        s.cumOps,
 		CumRecomputed: s.cumRecomputed,
 		CacheShapes:   s.cache.Len(),
-		Shards:        shards,
 	}
 }
 
@@ -399,9 +295,9 @@ func (s *Server) Ingest(ops []Op) (*Snapshot, error) {
 	}
 }
 
-// Close stops the writer goroutines and closes the op log; pending ingests
-// fail with ErrClosed. Queries keep answering from the last published
-// snapshot.
+// Close stops the coordinator goroutine and closes the op log; pending
+// ingests fail with ErrClosed. Queries keep answering from the last
+// published snapshot.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
 	<-s.loopDone
@@ -410,7 +306,6 @@ func (s *Server) Close() {
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	defer func() {
-		s.stopShards()
 		if s.oplog != nil {
 			s.oplog.Close()
 		}
@@ -461,13 +356,12 @@ func (s *Server) loop() {
 
 // apply advances the served state by one coalesced batch: an O(delta)
 // clone of the current database, violation maintenance per operation, one
-// batched partition update, then a delta-scoped rebuild — the fresh islands
-// are hashed across the writer shards, explored in parallel, and the
-// publication barrier reassembles the factored semantics from the
-// partition's payloads. The new snapshot is logged (when an op log is
-// attached) and published atomically; the previous one stays valid for
-// readers still holding it, and a failed build leaves the served state,
-// counters, and log untouched.
+// batched partition update, then a delta-scoped rebuild through
+// core.ComputeFactoredDelta, which explores only the fresh islands on the
+// Options.Workers pool and carries every other component. The new snapshot
+// is logged (when an op log is attached) and published atomically; the
+// previous one stays valid for readers still holding it, and a failed build
+// leaves the served state, counters, and log untouched.
 func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	if h := testHookApply; h != nil {
 		h(ops)
@@ -557,9 +451,10 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	// paid per publication, not per operation, which is most of what
 	// coalescing amortizes. The net deltas describe the before/after
 	// violation difference, so the touched region re-partitions directly
-	// against the final violation set; the returned fresh islands are
-	// exactly those without a component payload (carried islands brought
-	// theirs along), and removed is the dissolved originals.
+	// against the final violation set. The fresh islands are exactly those
+	// without a component payload (carried islands brought theirs along),
+	// which is what ComputeFactoredDelta explores; removed is the dissolved
+	// originals, whose facts may return to the untouched core.
 	surviving := func(vios []netVio) []constraint.Violation {
 		out := make([]constraint.Violation, 0, len(vios))
 		for _, e := range vios {
@@ -569,35 +464,9 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 		}
 		return out
 	}
-	part, fresh, removed := cur.Part.Update(surviving(elims), surviving(intros), changed)
-	islands := part.Islands()
-
-	// Shard the fresh region: each island explores on the shard its
-	// content hash names, the WaitGroup is the publication barrier, and
-	// errors settle in deterministic island order. Explorations are pure
-	// functions of the island's facts, so the shard count never shows in
-	// the result.
-	inner := s.explore()
-	if len(fresh) > 1 {
-		inner.Workers = 1
-	}
-	scope := core.NewBuildScope(s.sigma, s.gen, inner, s.fopt())
-	explored := make([]core.Explored, len(fresh))
-	errs := make([]error, len(fresh))
-	var wg sync.WaitGroup
-	wg.Add(len(fresh))
-	for fi, isl := range fresh {
-		s.shards[s.shardOf(isl)].tasks <- shardTask{scope: scope, isl: isl, out: &explored[fi], errp: &errs[fi], wg: &wg}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	hits, misses := scope.Accounting(explored)
-	untouched := core.UpdateUntouched(cur.Fac.Untouched, db, part, applied, removed, fresh)
-	fac, err := core.AssembleFactored(db, s.sigma, s.gen, part, untouched, len(islands)-len(fresh), hits, misses)
+	part, _, removed := cur.Part.Update(surviving(elims), surviving(intros), changed)
+	fac, err := core.ComputeFactoredDelta(db, s.sigma, s.gen, s.explore(), s.fopt(),
+		core.FactoredDelta{Prev: cur.Fac, Part: part, Removed: removed, Ops: applied})
 	if err != nil {
 		return nil, err
 	}
@@ -609,10 +478,7 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	// The build succeeded and (when logging) persisted; only now touch the
 	// resident counters, so a failed publication cannot skew them.
 	s.cumOps += uint64(len(applied))
-	s.cumRecomputed += uint64(len(fresh))
-	for _, isl := range fresh {
-		s.shardRecomputed[s.shardOf(isl)]++
-	}
+	s.cumRecomputed += uint64(len(fac.Components) - fac.Reused)
 	s.lastBatchOps = len(applied)
 	if s.lastBatchOps > s.maxBatchOps {
 		s.maxBatchOps = s.lastBatchOps

@@ -129,33 +129,47 @@ func runMix(t *testing.T, s *serve.Server, ops []workload.ServeOp) *serve.Snapsh
 // and every fact marginal — are bit-identical, and identical to a
 // from-scratch recompute on the post-delta database (the served state never
 // drifts from ComputeFactored semantics, and worker scheduling never leaks
-// into answers).
+// into answers). Every cache-on run also publishes the same Stats, field for
+// field; the deprecated Shards option is one more input that changes
+// nothing.
 func TestServeDeterministicAcrossWorkers(t *testing.T) {
 	db, sigma, ops := workload.ServeMix(mixConfig(80, 0.4, 11))
-	var want snapProj
+	var runs []serve.Options
 	for workers := 1; workers <= 8; workers++ {
 		for _, nocache := range []bool{false, true} {
-			s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Workers: workers, NoCache: nocache})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+			runs = append(runs, serve.Options{Workers: workers, NoCache: nocache})
+		}
+	}
+	runs = append(runs, serve.Options{Workers: 3, Shards: 8})
+	var want snapProj
+	var wantStats serve.Stats
+	for i, opts := range runs {
+		s, err := serve.New(db, sigma, generators.Uniform{}, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		last := runMix(t, s, ops)
+		got := projectSnap(last)
+		st := last.Stats()
+		s.Close()
+		if i == 0 {
+			want, wantStats = got, st
+			wantComps, wantMarg := freshProj(t, last.DB, sigma, 0)
+			if !reflect.DeepEqual(got.Components, wantComps) {
+				t.Fatal("served components differ from from-scratch recompute")
 			}
-			last := runMix(t, s, ops)
-			got := projectSnap(last)
-			s.Close()
-			if workers == 1 && !nocache {
-				want = got
-				wantComps, wantMarg := freshProj(t, last.DB, sigma, 0)
-				if !reflect.DeepEqual(got.Components, wantComps) {
-					t.Fatal("served components differ from from-scratch recompute")
-				}
-				if !reflect.DeepEqual(got.Marginals, wantMarg) {
-					t.Fatal("served marginals differ from from-scratch recompute")
-				}
-				continue
+			if !reflect.DeepEqual(got.Marginals, wantMarg) {
+				t.Fatal("served marginals differ from from-scratch recompute")
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d nocache=%v: projection differs from workers=1", workers, nocache)
-			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: projection differs from workers=1", opts)
+		}
+		// Cache counters legitimately differ with the cache off; compare
+		// the full stats among cache-on runs.
+		if !opts.NoCache && !reflect.DeepEqual(st, wantStats) {
+			t.Fatalf("%+v: stats differ from workers=1:\n  got  %+v\n  want %+v", opts, st, wantStats)
 		}
 	}
 }
