@@ -648,6 +648,43 @@ func BenchmarkFactoredQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkFactoredCQ measures a two-atom conjunctive probe on a
+// precomputed 200-island archipelago (8-fact chains, the factored-islands
+// shape): CP of the two-edge path i0_n000 → i0_n002 through the route
+// ocqad's /v1/query takes, CPOrEstimate at ε = δ = 0.05. The repair
+// product is far past the enumeration budget, but the tuple's witnesses
+// touch island 0 only, so the witness-lineage route enumerates that
+// island's repairs and answers exactly (0: a two-edge path is itself a
+// violation).
+func BenchmarkFactoredCQ(b *testing.B) {
+	d, sigma := workload.Islands(workload.IslandsConfig{
+		Islands:        200,
+		FactsPerIsland: 8,
+		IsoRatio:       0.9,
+		Seed:           1,
+	})
+	fac, err := core.ComputeFactored(repair.MustInstance(d, sigma), generators.Uniform{}, markov.ExploreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, y, z := logic.Var("X"), logic.Var("Y"), logic.Var("Z")
+	q := fo.MustQuery("Q", []logic.Term{x, z}, fo.Exists{Vars: []logic.Term{y}, F: fo.And{
+		L: fo.Atom{A: logic.NewAtom("E", x, y)},
+		R: fo.Atom{A: logic.NewAtom("E", y, z)},
+	}})
+	tuple := []string{"i00000000_n000", "i00000000_n002"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, exact, err := fac.CPOrEstimate(q, tuple, 0.05, 0.05, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !exact || p.Sign() != 0 {
+			b.Fatalf("CP = %s (exact %v), want exactly 0", p.RatString(), exact)
+		}
+	}
+}
+
 // BenchmarkServe measures the resident serving pipeline of internal/serve
 // on the islands workload (400 four-fact islands, so one toggle touches
 // 0.25% of the components). The sub-benchmarks bracket the design space

@@ -24,14 +24,17 @@
 // TGD-free constraints, local generators) repairs each conflict component
 // independently on a -workers pool with a structural semantics cache
 // across isomorphic components, and answers atomic queries exactly at any
-// scale. Practical mode derives the keys it repairs from the key-shaped
+// scale, and conjunctive queries too, through lineage groups: per
+// candidate tuple only the components its witnesses link are enumerated.
+// Practical mode derives the keys it repairs from the key-shaped
 // EGDs of the constraint file and runs rounds on a worker pool; factored
 // and practical results are bit-identical for any -workers. SAT mode
 // computes the certain answers only (tuples with probability 1), by
-// compiling "this tuple is NOT certain" to CNF per candidate and running
-// an embedded CDCL solver — no chain exploration at all, so it scales
-// past any sequence-space budget; -dimacs exports the per-candidate
-// formulas for external solvers.
+// compiling "this tuple is NOT certain" to CNF per candidate — refuted
+// outright when the all-deleted repair satisfies it, otherwise decided by
+// an embedded CDCL solver — with no chain exploration at all, so it
+// scales past any sequence-space budget; -dimacs exports the
+// per-candidate formulas for external solvers.
 package main
 
 import (
@@ -60,7 +63,7 @@ func main() {
 		sigmaPath = flag.String("constraints", "", "constraint file (TGDs/EGDs/DCs), or inline:<text>")
 		queryPath = flag.String("query", "", "query file (Q(X) := formula), or inline:<text>")
 		genName   = flag.String("gen", "uniform", "chain generator: "+cliutil.GeneratorNames())
-		mode      = flag.String("mode", "exact", "exact (full chain exploration), factored (per-component exact, Section 6 localization), sat (certain answers via CNF + CDCL), approx (Theorem 9 sampling), or practical (Section 5 scheme)")
+		mode      = flag.String("mode", "exact", "exact (full chain exploration), factored (per-component exact, Section 6 localization; atomic queries at any scale, conjunctive queries per lineage group), sat (certain answers via CNF + CDCL), approx (Theorem 9 sampling), or practical (Section 5 scheme)")
 		semantics = flag.String("semantics", "walk", "distribution over complete sequences: walk (PODS '18 walk-induced) or uniform (PODS '22 sequence-uniform)")
 		eps       = flag.Float64("eps", 0.1, "additive error bound ε (approx/practical mode)")
 		delta     = flag.Float64("delta", 0.1, "failure probability δ (approx/practical mode)")
@@ -158,7 +161,7 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 		as, err := fac.OCA(q)
 		if err != nil {
 			if errors.Is(err, core.ErrEnumerationBudget) {
-				return fmt.Errorf("%w\n(non-atomic query over a huge repair space: use -mode approx, or an atomic query)", err)
+				return fmt.Errorf("%w\n(a query whose witnesses link too many components, or that is not conjunctive: use -mode approx)", err)
 			}
 			return err
 		}
@@ -185,8 +188,8 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 		}
 		fmt.Printf("sat encoding: %d violating groups, %d conflicted facts; base CNF %d vars, %d clauses\n",
 			res.Groups, enc.ConflictFacts(), res.Vars, res.Clauses)
-		fmt.Printf("candidates: %d witnessed tuples; %d certain via a conflict-free witness, %d decided by the solver\n",
-			res.Candidates, res.Immediate, res.Solved)
+		fmt.Printf("candidates: %d witnessed tuples; %d certain via a conflict-free witness, %d refuted by the all-deleted repair, %d decided by the solver\n",
+			res.Candidates, res.Immediate, res.Refuted, res.Solved)
 		if res.Solved > 0 {
 			fmt.Printf("solver: %d decisions, %d propagations, %d conflicts, %d learned, %d restarts\n",
 				res.Stats.Decisions, res.Stats.Propagations, res.Stats.Conflicts, res.Stats.Learned, res.Stats.Restarts)

@@ -76,7 +76,11 @@ type vioEntry struct {
 	h         logic.Subst // canonical binding of the universal variables
 	bodyFacts []relation.Fact
 	bodyPack  string // packed sorted body fact ids (process-local cache key)
-	legacyKey string // constraint id + "|" + h.Key(), the stable encoding
+	// legacyKey caches constraint id + "|" + h.Key(), the stable encoding,
+	// built on first Key call: only diagnostics, Violations.All/Keys, the
+	// trust generator and null naming read it, so interning never pays
+	// for the per-binding rendering.
+	legacyKey atomic.Pointer[string]
 	bodyKey   atomic.Pointer[string]
 }
 
@@ -345,7 +349,6 @@ func (c *Constraint) vioEntryFor(h logic.Subst) *vioEntry {
 		ids[i] = f.ID()
 	}
 	e.bodyPack = string(intern.PackTuple(make([]byte, 0, 4*len(ids)), ids))
-	e.legacyKey = c.id + "|" + canon.Key()
 
 	cur := *c.vioSlice.Load()
 	local = uint32(len(cur))
@@ -356,15 +359,15 @@ func (c *Constraint) vioEntryFor(h logic.Subst) *vioEntry {
 	return e
 }
 
-// refreshViolationKeys rebuilds the cached canonical keys of already
+// refreshViolationKeys drops the cached canonical keys of already
 // interned violations; Set.Add calls it when it assigns the constraint its
-// id, so violations interned before the constraint joined a set still
-// render with the final id (a Set must not be mutated once violations are
-// shared between goroutines, which makes this safe).
+// id, so violations keyed before the constraint joined a set render with
+// the final id on their next Key call (a Set must not be mutated once
+// violations are shared between goroutines, which makes this safe).
 func (c *Constraint) refreshViolationKeys() {
 	c.vioMu.Lock()
 	defer c.vioMu.Unlock()
 	for _, e := range (*c.vioSlice.Load())[1:] {
-		e.legacyKey = c.id + "|" + e.h.Key()
+		e.legacyKey.Store(nil)
 	}
 }

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
@@ -298,4 +299,29 @@ func TestViolationKeyRefreshedOnSetAdd(t *testing.T) {
 	if got := early.Key(); got != dc.ID()+"|"+early.H.Key() {
 		t.Errorf("previously interned violation key = %q, want refreshed %q", got, dc.ID()+"|"+early.H.Key())
 	}
+}
+
+// TestViolationKeyConcurrent: the canonical key is built on first use and
+// cached on the interned violation; concurrent first calls (run under
+// -race) must all see the same rendering.
+func TestViolationKeyConcurrent(t *testing.T) {
+	d, set, _, _ := example1()
+	vs := FindViolations(d, set).ByID() // ByID renders no key
+	want := make([]string, len(vs))
+	for i, vio := range vs {
+		want[i] = vio.Constraint.ID() + "|" + vio.H.Key()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, vio := range vs {
+				if got := vio.Key(); got != want[i] {
+					t.Errorf("Key() = %q, want %q", got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -192,15 +192,22 @@ func (v Violation) ID() uint64 {
 }
 
 // Key returns the canonical string encoding of the violation, stable across
-// processes: the constraint ID together with the encoded assignment.
+// processes: the constraint ID together with the encoded assignment. It is
+// built on first use and cached on the interned violation.
 func (v Violation) Key() string {
-	if v.entry != nil {
-		return v.entry.legacyKey
-	}
 	if v.Constraint == nil {
 		return "|"
 	}
-	return v.Constraint.id + "|" + v.H.Key()
+	e := v.entry
+	if e == nil {
+		e = v.Constraint.vioEntryFor(v.H)
+	}
+	if k := e.legacyKey.Load(); k != nil {
+		return *k
+	}
+	k := v.Constraint.id + "|" + e.h.Key()
+	e.legacyKey.Store(&k)
+	return k
 }
 
 // BodyKey returns the canonical string encoding of h(ϕ) as a fact set;

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/fo"
+	"repro/internal/intern"
 	"repro/internal/markov"
 	"repro/internal/prob"
 	"repro/internal/relation"
@@ -68,6 +69,15 @@ type Semantics struct {
 	// interleavings are counted by binomial convolution over lengths
 	// (Factored.TotalSequences).
 	SequencesByLength []*big.Int
+
+	// lineageDB and conflicted are the inputs of the witness lineage CP
+	// and OCA answer conjunctive queries from: the initial database and
+	// the facts of its violations. They are set only when Σ has no TGDs,
+	// where every repair is a subset of lineageDB that keeps every fact
+	// outside conflicted; nil means every query is evaluated on every
+	// repair.
+	lineageDB  *relation.Database
+	conflicted []relation.Fact
 }
 
 // Compute explores the chain M_Σ(D) exactly and assembles [[D]]_{MΣ}
@@ -135,6 +145,10 @@ func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOpt
 		return nil, err
 	}
 	sem := &Semantics{Mode: mode}
+	if !inst.Sigma().HasTGDs() {
+		sem.lineageDB = inst.Initial()
+		sem.conflicted = inst.Root().Violations().InvolvedFacts()
+	}
 	absorbing, failing := new(big.Int), new(big.Int)
 	var succP, failP prob.Rat
 	var repairKeys []string
@@ -217,6 +231,8 @@ func (s *Semantics) UniformOverRepairs() *Semantics {
 		FailP:           prob.Zero(),
 		AbsorbingStates: s.AbsorbingStates,
 		FailingStates:   s.FailingStates,
+		lineageDB:       s.lineageDB,
+		conflicted:      s.conflicted,
 	}
 	n := int64(len(s.Repairs))
 	if n == 0 {
@@ -231,18 +247,66 @@ func (s *Semantics) UniformOverRepairs() *Semantics {
 
 // CP computes the conditional probability CP_{D,MΣ,Q}(t̄) of Section 4:
 // the probability mass of repairs answering t̄, normalized by the success
-// mass; it is 0 when no operational repair exists.
+// mass; it is 0 when no operational repair exists. A conjunctive query
+// over a TGD-free Σ is answered from the tuple's witness lineage (a
+// repair answers iff one of its witnesses survives); any other query is
+// evaluated on every repair.
 func (s *Semantics) CP(q *fo.Query, tuple []string) *big.Rat {
 	if s.SuccessP.Sign() == 0 {
 		return prob.Zero()
 	}
-	num := prob.Zero()
-	for _, r := range s.Repairs {
-		if q.Holds(r.DB, tuple) {
-			num.Add(num, r.P)
+	var num prob.Rat
+	if lin, ok := s.lineage(tuplePass(q, tuple)); ok {
+		if len(lin.Candidates) == 1 {
+			cand := &lin.Candidates[0]
+			s.forEachRepairDead(func(r *Repair, dead []bool) {
+				if cand.Answers(dead) {
+					num.AddBig(r.P)
+				}
+			})
+		}
+	} else {
+		for _, r := range s.Repairs {
+			if q.Holds(r.DB, tuple) {
+				num.AddBig(r.P)
+			}
 		}
 	}
-	return num.Quo(num, s.SuccessP)
+	p := num.Big()
+	return p.Quo(p, s.SuccessP)
+}
+
+// lineage runs a witness pass (q.Lineage or q.TupleLineage) over the
+// lineage inputs. It reports false when the semantics has none (Σ with
+// TGDs) or the pass refuses the query (not a conjunctive query with every
+// output variable in its body).
+func (s *Semantics) lineage(pass func(*relation.Database, []relation.Fact) (*fo.Lineage, bool)) (*fo.Lineage, bool) {
+	if s.lineageDB == nil {
+		return nil, false
+	}
+	return pass(s.lineageDB, s.conflicted)
+}
+
+// tuplePass is the witness pass of q restricted to tuple (TupleLineage),
+// in the form Semantics.lineage and Factored.lineage take.
+func tuplePass(q *fo.Query, tuple []string) func(*relation.Database, []relation.Fact) (*fo.Lineage, bool) {
+	return func(d *relation.Database, conflicted []relation.Fact) (*fo.Lineage, bool) {
+		return q.TupleLineage(d, conflicted, tuple)
+	}
+}
+
+// forEachRepairDead calls fn once per repair with the repair's dead
+// vector: dead[i] reports that conflicted fact i is missing from the
+// repair. The vector is reused between calls.
+func (s *Semantics) forEachRepairDead(fn func(r *Repair, dead []bool)) {
+	dead := make([]bool, len(s.conflicted))
+	for i := range s.Repairs {
+		r := &s.Repairs[i]
+		for j, f := range s.conflicted {
+			dead[j] = !r.DB.Contains(f)
+		}
+		fn(r, dead)
+	}
 }
 
 // Answer is a tuple together with its conditional probability.
@@ -263,6 +327,9 @@ type AnswerSet struct {
 
 // OCA evaluates the query over every operational repair and returns the
 // tuples with positive conditional probability, sorted lexicographically.
+// A conjunctive query over a TGD-free Σ builds its witness lineage once
+// and credits each repair's mass to the candidates one of whose witnesses
+// survives in it, instead of joining again in every repair.
 func (s *Semantics) OCA(q *fo.Query) *AnswerSet {
 	// Numerators accumulate on the small-rational fast path: one AddBig per
 	// (repair, answer) pair is the hot loop of exact query answering.
@@ -270,20 +337,32 @@ func (s *Semantics) OCA(q *fo.Query) *AnswerSet {
 		tuple []string
 		p     prob.Rat
 	}
-	num := map[string]*acc{}
-	for _, r := range s.Repairs {
-		for _, tuple := range q.Answers(r.DB) {
-			k := fo.TupleKey(tuple)
-			a, ok := num[k]
-			if !ok {
-				a = &acc{tuple: tuple}
-				num[k] = a
+	var accs []*acc
+	if lin, ok := s.lineage(q.Lineage); ok {
+		accs = make([]*acc, len(lin.Candidates))
+		for c, cand := range lin.Candidates {
+			accs[c] = &acc{tuple: intern.Names(cand.Tuple)}
+		}
+		s.forEachRepairDead(func(r *Repair, dead []bool) {
+			lin.ForEachAnswer(dead, func(c int) { accs[c].p.AddBig(r.P) })
+		})
+	} else {
+		index := map[string]*acc{}
+		for _, r := range s.Repairs {
+			for _, tuple := range q.Answers(r.DB) {
+				k := fo.TupleKey(tuple)
+				a, ok := index[k]
+				if !ok {
+					a = &acc{tuple: tuple}
+					index[k] = a
+					accs = append(accs, a)
+				}
+				a.p.AddBig(r.P)
 			}
-			a.p.AddBig(r.P)
 		}
 	}
 	out := &AnswerSet{Query: q}
-	for _, a := range num {
+	for _, a := range accs {
 		p := a.p.Big()
 		if s.SuccessP.Sign() != 0 {
 			p.Quo(p, s.SuccessP)

@@ -11,7 +11,12 @@
 //   - Semantics: [[D]]_{MΣ} — repairs with exact big.Rat probabilities,
 //     success/fail mass, and exact big.Int sequence counts. Derived
 //     observables: CP (conditional probability), OCA (operational
-//     consistent answers), Certain, TPC, AnswerCountDistribution.
+//     consistent answers), Certain, TPC, AnswerCountDistribution. For
+//     TGD-free Σ, CP and OCA answer a conjunctive query (every output
+//     variable in the body) from its witness lineage over the initial
+//     database (fo.Query.Lineage): a repair answers a candidate iff one
+//     of its witnesses survives, so no join runs per repair. Other
+//     queries and TGD instances are evaluated on every repair.
 //   - SemanticsMode (mode.go, aliasing markov.SemanticsMode): WalkInduced
 //     weighs a repair by Σ π(s) over the sequences producing it;
 //     SequenceUniform weighs it by its share of complete sequences. The
@@ -48,7 +53,11 @@
 //     ComputeFactored is the from-scratch form of ComputeFactoredDelta,
 //     the one factored build: it carries the components a delta left
 //     untouched and explores the rest (build.go); internal/serve calls it
-//     once per publication.
+//     once per publication. Factored.CP/OCA answer atomic queries from
+//     fact marginals and conjunctive queries from witness lineage groups:
+//     the components one candidate's witnesses link form a group, groups
+//     are independent, and each enumerates only its own components'
+//     repairs under the 2^20 budget.
 //   - Aggregate queries (aggregate.go) and UniformOverRepairs (the
 //     "equally likely repairs" measure of Section 6) round out the
 //     semantics variants.

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -87,10 +88,13 @@ type StructuralGenerator interface {
 // support component-wise factorization.
 var ErrNotFactorable = errors.New("core: instance/generator does not factorize across conflict components")
 
-// ErrEnumerationBudget is returned by CP and OCA when the product of
-// per-component repair counts exceeds maxEnumeratedRepairs. Atomic queries
-// never hit it (they route through FactProbability); for the rest,
-// EstimateCP and CPOrEstimate trade exactness for sampling.
+// ErrEnumerationBudget is returned by CP and OCA when a repair enumeration
+// exceeds maxEnumeratedRepairs: for a conjunctive query, the product of
+// the repair counts of one lineage group (the components one candidate's
+// witnesses link); for any other non-atomic query, the product over every
+// component. Atomic queries never hit it (they route through
+// FactProbability); past it, EstimateCP and CPOrEstimate trade exactness
+// for sampling.
 var ErrEnumerationBudget = errors.New("core: factored repair enumeration exceeds the budget")
 
 // Component is one conflict component together with its exact local
@@ -157,29 +161,37 @@ func (c *Component) repairWeights() []*big.Rat {
 
 // NumRepairs returns the number of distinct local repairs without
 // materializing cached semantics.
-func (c *Component) NumRepairs() int {
+func (c *Component) NumRepairs() int { return len(c.localSemantics().Repairs) }
+
+// localSemantics returns the semantics the component's probabilities are
+// read from without materializing a renamed copy: the shared canonical
+// semantics for cache-served components, the component's own otherwise.
+// Renaming is an isomorphism of the local chain, so every probability
+// read there equals the one Semantics() would give; localFact maps a
+// fact of the component to its image in it.
+func (c *Component) localSemantics() *Semantics {
 	if c.canon != nil {
-		return len(c.canon.Repairs)
+		return c.canon
 	}
-	return len(c.sem.Repairs)
+	return c.sem
 }
 
-// marginal returns the probability that the fact (which must belong to the
-// component) survives in a local repair, conditioned on success. For
-// cache-served components the fact is mapped through the canonical
-// renaming and the marginal is read off the shared canonical semantics —
-// renaming is an isomorphism of the local chain, so the values coincide.
-func (c *Component) marginal(fact relation.Fact) *big.Rat {
-	sem := c.sem
+// localFact maps a fact of the component into localSemantics.
+func (c *Component) localFact(fact relation.Fact) relation.Fact {
 	if c.canon != nil {
 		for i, cf := range c.Facts {
 			if cf == fact {
-				fact = c.canonFacts[i]
-				break
+				return c.canonFacts[i]
 			}
 		}
-		sem = c.canon
 	}
+	return fact
+}
+
+// marginal returns the probability that the fact (which must belong to the
+// component) survives in a local repair, conditioned on success.
+func (c *Component) marginal(fact relation.Fact) *big.Rat {
+	sem, fact := c.localSemantics(), c.localFact(fact)
 	// Repair masses are summed with the small-rational fast path; the
 	// canonical big.Rat is materialized once for the final division.
 	var acc prob.Rat
@@ -533,6 +545,22 @@ func renameSemantics(sem *Semantics, ren map[intern.Sym]intern.Sym) *Semantics {
 			out.SequencesByLength[i] = new(big.Int).Set(cnt)
 		}
 	}
+	// The lineage inputs are renamed with the repairs: a cache-served
+	// component answers queries over its own constants, never over those
+	// of the component that populated the cache entry.
+	if sem.lineageDB != nil {
+		facts := sem.lineageDB.Facts()
+		renamed := make([]relation.Fact, len(facts))
+		for i, f := range facts {
+			renamed[i] = renameFact(f, ren)
+		}
+		out.lineageDB = relation.FromFacts(renamed...)
+		out.lineageDB.Seal()
+		out.conflicted = make([]relation.Fact, len(sem.conflicted))
+		for i, f := range sem.conflicted {
+			out.conflicted[i] = renameFact(f, ren)
+		}
+	}
 	out.Repairs = make([]Repair, len(sem.Repairs))
 	keys := make([]string, len(sem.Repairs))
 	for i, r := range sem.Repairs {
@@ -596,7 +624,9 @@ func (f *Factored) FactProbability(fact relation.Fact) *big.Rat {
 	return prob.Zero()
 }
 
-// maxEnumeratedRepairs bounds full repair enumeration in CP and OCA.
+// maxEnumeratedRepairs bounds the repair enumeration of CP and OCA: per
+// lineage group for conjunctive queries, over the whole product for any
+// other non-atomic query.
 const maxEnumeratedRepairs = 1 << 20
 
 // atomicQueryFact resolves queries of the form Q(x̄) := R(t̄) — a single
@@ -652,10 +682,13 @@ func (f *Factored) atomicQueryFact(q *fo.Query, tuple []string) (fact relation.F
 
 // CP computes the exact conditional probability of a tuple. Atomic queries
 // (a single positive atom over constants and output variables) are routed
-// through FactProbability and never enumerate, whatever the scale. Other
-// queries enumerate the product distribution; when the product exceeds
-// maxEnumeratedRepairs CP returns ErrEnumerationBudget instead of running
-// forever — CPOrEstimate falls back to sampling automatically.
+// through FactProbability and never enumerate, whatever the scale.
+// Conjunctive queries whose output variables all occur in the body are
+// answered from the tuple's witness lineage (lineageCP): only the
+// components its witnesses touch are enumerated, group by group. Other
+// queries enumerate the product distribution. Past maxEnumeratedRepairs
+// CP returns ErrEnumerationBudget instead of running forever —
+// CPOrEstimate falls back to sampling automatically.
 func (f *Factored) CP(q *fo.Query, tuple []string) (*big.Rat, error) {
 	if fact, zero, ok := f.atomicQueryFact(q, tuple); ok {
 		if zero {
@@ -663,38 +696,13 @@ func (f *Factored) CP(q *fo.Query, tuple []string) (*big.Rat, error) {
 		}
 		return f.FactProbability(fact), nil
 	}
-	total := f.NumRepairs()
-	if !total.IsInt64() || total.Int64() > maxEnumeratedRepairs {
-		return nil, fmt.Errorf("%w: %s repairs > %d; FactProbability answers atomic queries exactly, EstimateCP samples the rest",
-			ErrEnumerationBudget, total.String(), maxEnumeratedRepairs)
-	}
-	num := prob.Zero()
-	den := prob.Zero()
-	db := f.Untouched.Clone()
-	var rec func(i int, p *big.Rat)
-	rec = func(i int, p *big.Rat) {
-		if i == len(f.Components) {
-			den.Add(den, p)
-			if q.Holds(db, tuple) {
-				num.Add(num, p)
-			}
-			return
+	if fl, ok := f.lineage(q, tuplePass(q, tuple)); ok {
+		if len(fl.lin.Candidates) == 0 || f.zeroSuccess() {
+			return prob.Zero(), nil
 		}
-		for _, r := range f.Components[i].Semantics().Repairs {
-			for _, fact := range r.DB.Facts() {
-				db.Insert(fact)
-			}
-			rec(i+1, new(big.Rat).Mul(p, r.P))
-			for _, fact := range r.DB.Facts() {
-				db.Delete(fact)
-			}
-		}
+		return f.lineageCP(fl, &fl.lin.Candidates[0], make([]bool, len(fl.conflicted)))
 	}
-	rec(0, prob.One())
-	if den.Sign() == 0 {
-		return prob.Zero(), nil
-	}
-	return num.Quo(num, den), nil
+	return f.productCP(q, tuple)
 }
 
 // CPOrEstimate computes CP exactly when feasible — always for atomic
@@ -719,33 +727,53 @@ func (f *Factored) CPOrEstimate(q *fo.Query, tuple []string, eps, delta float64,
 // OCA returns the operational consistent answers over the factored
 // semantics. Atomic queries scan the initial database once and read each
 // matching fact's exact marginal off its component — polynomial at any
-// scale. Other queries enumerate the product distribution under the same
-// budget as CP.
+// scale. Conjunctive queries whose output variables all occur in the body
+// build one witness lineage and answer each candidate by lineageCP. Other
+// queries enumerate the product distribution. All but the first are
+// bounded by maxEnumeratedRepairs, as in CP.
 func (f *Factored) OCA(q *fo.Query) (*AnswerSet, error) {
 	if as, ok := f.atomicOCA(q); ok {
 		return as, nil
 	}
+	if fl, ok := f.lineage(q, q.Lineage); ok {
+		out := &AnswerSet{Query: q}
+		if f.zeroSuccess() {
+			return out, nil
+		}
+		dead := make([]bool, len(fl.conflicted))
+		for c := range fl.lin.Candidates {
+			cand := &fl.lin.Candidates[c]
+			p, err := f.lineageCP(fl, cand, dead)
+			if err != nil {
+				return nil, err
+			}
+			if p.Sign() > 0 {
+				out.Answers = append(out.Answers, Answer{Tuple: intern.Names(cand.Tuple), P: p})
+			}
+		}
+		sortAnswers(out)
+		return out, nil
+	}
+	return f.productOCA(q)
+}
+
+// forEachProductRepair enumerates the full product distribution — every
+// combination of one local repair per component over the untouched core —
+// calling fn with each full repair and its mass, and returns the total
+// mass. It refuses past maxEnumeratedRepairs. db is reused between calls.
+func (f *Factored) forEachProductRepair(fn func(db *relation.Database, p *big.Rat)) (*big.Rat, error) {
 	total := f.NumRepairs()
 	if !total.IsInt64() || total.Int64() > maxEnumeratedRepairs {
-		return nil, fmt.Errorf("%w: %s repairs > %d; only atomic queries have factored OCA at this scale",
+		return nil, fmt.Errorf("%w: %s repairs > %d; FactProbability answers atomic queries and witness lineage conjunctive ones, EstimateCP samples the rest",
 			ErrEnumerationBudget, total.String(), maxEnumeratedRepairs)
 	}
-	num := map[string]*Answer{}
 	den := prob.Zero()
 	db := f.Untouched.Clone()
 	var rec func(i int, p *big.Rat)
 	rec = func(i int, p *big.Rat) {
 		if i == len(f.Components) {
 			den.Add(den, p)
-			for _, tuple := range q.Answers(db) {
-				k := fo.TupleKey(tuple)
-				a, ok := num[k]
-				if !ok {
-					a = &Answer{Tuple: tuple, P: prob.Zero()}
-					num[k] = a
-				}
-				a.P.Add(a.P, p)
-			}
+			fn(db, p)
 			return
 		}
 		for _, r := range f.Components[i].Semantics().Repairs {
@@ -759,6 +787,46 @@ func (f *Factored) OCA(q *fo.Query) (*AnswerSet, error) {
 		}
 	}
 	rec(0, prob.One())
+	return den, nil
+}
+
+// productCP is CP by enumerating the product distribution, evaluating the
+// query on every full repair: the route of queries without a witness
+// lineage, and the reference the lineage route is tested against.
+func (f *Factored) productCP(q *fo.Query, tuple []string) (*big.Rat, error) {
+	num := prob.Zero()
+	den, err := f.forEachProductRepair(func(db *relation.Database, p *big.Rat) {
+		if q.Holds(db, tuple) {
+			num.Add(num, p)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if den.Sign() == 0 {
+		return prob.Zero(), nil
+	}
+	return num.Quo(num, den), nil
+}
+
+// productOCA is OCA by enumerating the product distribution (see
+// productCP).
+func (f *Factored) productOCA(q *fo.Query) (*AnswerSet, error) {
+	num := map[string]*Answer{}
+	den, err := f.forEachProductRepair(func(db *relation.Database, p *big.Rat) {
+		for _, tuple := range q.Answers(db) {
+			k := fo.TupleKey(tuple)
+			a, ok := num[k]
+			if !ok {
+				a = &Answer{Tuple: tuple, P: prob.Zero()}
+				num[k] = a
+			}
+			a.P.Add(a.P, p)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := &AnswerSet{Query: q}
 	for _, a := range num {
 		if den.Sign() != 0 {
@@ -771,6 +839,164 @@ func (f *Factored) OCA(q *fo.Query) (*AnswerSet, error) {
 		}
 	}
 	sortAnswers(out)
+	return out, nil
+}
+
+// factoredLineage is the witness lineage of a conjunctive query over the
+// factored instance. The conflicted list holds every component fact, in
+// component order, and comp[i] is the component of conflicted fact i.
+type factoredLineage struct {
+	lin        *fo.Lineage
+	conflicted []relation.Fact
+	comp       []int
+}
+
+// lineage runs a witness pass of q (q.Lineage or q.TupleLineage) over the
+// initial database, or reports false when q is not a conjunctive query
+// with every output variable in its body. Every full
+// repair is the untouched core plus one local repair per component, a
+// subset of the database keeping every non-component fact, so the tuple
+// answers in it iff it is certain or one of its witnesses survives.
+func (f *Factored) lineage(q *fo.Query, pass func(*relation.Database, []relation.Fact) (*fo.Lineage, bool)) (*factoredLineage, bool) {
+	if _, unconstrained, ok := q.CQ(); !ok || len(unconstrained) > 0 {
+		return nil, false
+	}
+	fl := &factoredLineage{}
+	for ci, c := range f.Components {
+		for _, fact := range c.Facts {
+			fl.conflicted = append(fl.conflicted, fact)
+			fl.comp = append(fl.comp, ci)
+		}
+	}
+	db := f.initial
+	if !db.Sealed() {
+		db = db.Clone() // see atomicOCA: unsealed snapshots are single-owner
+	}
+	fl.lin, _ = pass(db, fl.conflicted)
+	return fl, true
+}
+
+// zeroSuccess reports that some component's repairing process never
+// succeeds: the full success mass is then 0 and, as in Semantics.CP,
+// every conditional probability is 0.
+func (f *Factored) zeroSuccess() bool {
+	for _, c := range f.Components {
+		if c.localSemantics().SuccessP.Sign() == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// lineageCP returns the conditional probability that a lineage candidate
+// answers under the product distribution. A certain candidate gives 1.
+// Otherwise the components its witnesses touch are unioned into groups —
+// two components share a group when one witness spans both — and groups
+// are independent, so
+//
+//	CP = 1 − Π_g P(no witness of group g survives).
+//
+// Each group enumerates only its own components' local repairs, under
+// maxEnumeratedRepairs; components no witness touches drop out. dead is
+// scratch indexed like fl.conflicted.
+func (f *Factored) lineageCP(fl *factoredLineage, cand *fo.LineageCandidate, dead []bool) (*big.Rat, error) {
+	if cand.Certain {
+		return prob.One(), nil
+	}
+	parent := map[int]int{}
+	var find func(c int) int
+	find = func(c int) int {
+		p, ok := parent[c]
+		if !ok || p == c {
+			parent[c] = c
+			return c
+		}
+		r := find(p)
+		parent[c] = r
+		return r
+	}
+	for _, w := range cand.Witnesses {
+		root := find(fl.comp[w[0]])
+		for _, i := range w[1:] {
+			if r := find(fl.comp[i]); r != root {
+				parent[r] = root
+			}
+		}
+	}
+	groups := map[int][][]int{} // root component → the group's witnesses
+	var roots []int
+	for _, w := range cand.Witnesses {
+		root := find(fl.comp[w[0]])
+		if _, ok := groups[root]; !ok {
+			roots = append(roots, root)
+		}
+		groups[root] = append(groups[root], w)
+	}
+	none := prob.One()
+	for _, root := range roots {
+		p, err := f.noWitnessSurvives(fl, groups[root], dead)
+		if err != nil {
+			return nil, err
+		}
+		none.Mul(none, p)
+	}
+	return none.Sub(prob.One(), none), nil
+}
+
+// noWitnessSurvives enumerates the local repairs of the components one
+// lineage group's witnesses touch and returns the conditional probability
+// that none of the witnesses keeps all its facts.
+func (f *Factored) noWitnessSurvives(fl *factoredLineage, witnesses [][]int, dead []bool) (*big.Rat, error) {
+	type member struct {
+		sem    *Semantics
+		facts  []int           // conflicted indices of the witness facts in the component
+		images []relation.Fact // those facts mapped into sem
+	}
+	var members []*member
+	byComp := map[int]*member{}
+	count := int64(1)
+	for _, w := range witnesses {
+		for _, i := range w {
+			c := f.Components[fl.comp[i]]
+			m := byComp[fl.comp[i]]
+			if m == nil {
+				m = &member{sem: c.localSemantics()}
+				byComp[fl.comp[i]] = m
+				members = append(members, m)
+				count *= int64(len(m.sem.Repairs))
+				if count > maxEnumeratedRepairs {
+					return nil, fmt.Errorf("%w: the components one tuple's witnesses link have more than %d repairs",
+						ErrEnumerationBudget, maxEnumeratedRepairs)
+				}
+			}
+			if !slices.Contains(m.facts, i) {
+				m.facts = append(m.facts, i)
+				m.images = append(m.images, c.localFact(fl.conflicted[i]))
+			}
+		}
+	}
+	var none prob.Rat
+	var rec func(k int, p *big.Rat)
+	rec = func(k int, p *big.Rat) {
+		if k == len(members) {
+			if !fo.SomeWitnessAlive(witnesses, dead) {
+				none.AddBig(p)
+			}
+			return
+		}
+		m := members[k]
+		for _, r := range m.sem.Repairs {
+			for j, i := range m.facts {
+				dead[i] = !r.DB.Contains(m.images[j])
+			}
+			rec(k+1, new(big.Rat).Mul(p, r.P))
+		}
+	}
+	rec(0, prob.One())
+	out := none.Big()
+	for _, m := range members {
+		out.Quo(out, m.sem.SuccessP)
+	}
 	return out, nil
 }
 
@@ -879,11 +1105,7 @@ func (f *Factored) TotalSequences() (*big.Int, error) {
 	// components with total length m.
 	T := []*big.Int{big.NewInt(1)}
 	for _, c := range f.Components {
-		sem := c.canon
-		if sem == nil {
-			sem = c.sem
-		}
-		cl := sem.SequencesByLength
+		cl := c.localSemantics().SequencesByLength
 		if cl == nil {
 			return nil, fmt.Errorf("core: per-length sequence counts unavailable; recompute with markov.ExploreOptions.TrackLengths")
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -198,9 +199,10 @@ func TestFactoredEstimateCP(t *testing.T) {
 }
 
 // TestFactoredCPBudget: atomic queries route around the over-budget product
-// enumeration (they reduce to fact marginals), while genuinely non-atomic
-// queries fail with ErrEnumerationBudget — and CPOrEstimate then falls back
-// to sampling.
+// enumeration (they reduce to fact marginals), conjunctive queries
+// enumerate only the components their witnesses link, and a query whose
+// witnesses link past the budget fails with ErrEnumerationBudget — and
+// CPOrEstimate then falls back to sampling.
 func TestFactoredCPBudget(t *testing.T) {
 	d := relation.NewDatabase()
 	for i := 0; i < 26; i++ {
@@ -221,8 +223,9 @@ func TestFactoredCPBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("atomic CP over a huge repair space must not enumerate: %v", err)
 	}
-	if want := fac.FactProbability(f("R", "a", "1")); cp.Cmp(want) != 0 {
-		t.Errorf("atomic CP = %s, FactProbability = %s", cp.RatString(), want.RatString())
+	pa := fac.FactProbability(f("R", "a", "1"))
+	if cp.Cmp(pa) != 0 {
+		t.Errorf("atomic CP = %s, FactProbability = %s", cp.RatString(), pa.RatString())
 	}
 	if !prob.InUnit(cp) || cp.Sign() == 0 {
 		t.Errorf("CP = %s outside (0,1]", cp.RatString())
@@ -232,28 +235,47 @@ func TestFactoredCPBudget(t *testing.T) {
 		t.Errorf("CP over unknown constant = %v, %v; want exact 0", p, err)
 	}
 
-	// A non-atomic query (conjunction) has no marginal shortcut: the product
-	// enumeration must refuse with the sentinel error.
+	// A conjunction whose one witness spans two components enumerates
+	// those two (9 repairs), not the 3^26 product: exact, and by
+	// independence the product of the two marginals.
 	x2, y2 := v("x2"), v("y2")
 	conj := fo.MustQuery("Pair", []logic.Term{x, y, x2, y2}, fo.And{
 		L: fo.Atom{A: at("R", x, y)},
 		R: fo.Atom{A: at("R", x2, y2)},
 	})
-	if _, err := fac.CP(conj, []string{"a", "1", "b", "1"}); !errors.Is(err, core.ErrEnumerationBudget) {
-		t.Errorf("non-atomic over-budget CP: err = %v, want ErrEnumerationBudget", err)
+	cp, err = fac.CP(conj, []string{"a", "1", "b", "1"})
+	if err != nil {
+		t.Fatalf("two-component conjunction over a huge repair space: %v", err)
+	}
+	pb := fac.FactProbability(f("R", "b", "1"))
+	if want := new(big.Rat).Mul(pa, pb); cp.Cmp(want) != 0 {
+		t.Errorf("conjunction CP = %s, want %s", cp.RatString(), want.RatString())
+	}
+
+	// Some(y) := ∃x,x2 R(x, y) ∧ R(x2, y) at y = 1 has a witness
+	// {R(k,1), R(k',1)} for every pair of components, which links them
+	// all into one lineage group: the whole 3^26 product. The enumeration
+	// must refuse with the sentinel error.
+	some := fo.MustQuery("Some", []logic.Term{y}, fo.Exists{Vars: []logic.Term{x, x2}, F: fo.And{
+		L: fo.Atom{A: at("R", x, y)},
+		R: fo.Atom{A: at("R", x2, y)},
+	}})
+	if _, err := fac.CP(some, []string{"1"}); !errors.Is(err, core.ErrEnumerationBudget) {
+		t.Errorf("over-budget lineage group: err = %v, want ErrEnumerationBudget", err)
 	}
 
 	// CPOrEstimate degrades to the (ε,δ) sampler on the same query.
-	p, exact, err := fac.CPOrEstimate(conj, []string{"a", "1", "b", "1"}, 0.1, 0.1, 42)
+	p, exact, err := fac.CPOrEstimate(some, []string{"1"}, 0.1, 0.1, 42)
 	if err != nil {
 		t.Fatalf("CPOrEstimate: %v", err)
 	}
 	if exact {
-		t.Error("CPOrEstimate must report the sampled route for an over-budget non-atomic query")
+		t.Error("CPOrEstimate must report the sampled route for an over-budget lineage group")
 	}
-	// True value: both R(a,·) and R(b,·) components keep the named fact with
-	// probability FactProbability; independence gives the product.
-	want := prob.Float(fac.FactProbability(f("R", "a", "1"))) * prob.Float(fac.FactProbability(f("R", "b", "1")))
+	// True value: x = x2 gives single-fact witnesses, so Some(1) holds iff
+	// some R(k,1) survives; the components are independent and each keeps
+	// R(k,1) with the same marginal, so CP = 1 − (1 − p_a)^26.
+	want := 1 - math.Pow(1-prob.Float(pa), 26)
 	if got := prob.Float(p); got-want > 0.1 || want-got > 0.1 {
 		t.Errorf("sampled CP %.3f vs true %.3f beyond ε", got, want)
 	}

@@ -14,9 +14,14 @@ import (
 // ComputeCertainSAT computes the certain answers of q — the tuples that
 // hold in every operational repair — by the SAT pipeline: one boolean
 // per conflicted fact, at-most-one clauses per violating key group,
-// witness clauses per candidate tuple, solved by the embedded CDCL
-// solver (internal/sat). No chain exploration happens, so the answer is
-// exact even when the sequence space dwarfs the DAG budget.
+// witness clauses per candidate tuple. Witness clauses are all-negative
+// and every at-most-one clause has a negative literal, so the all-false
+// assignment (the repair deleting every conflicted fact) satisfies every
+// candidate formula: a candidate without a conflict-free witness is
+// refuted by that O(clauses) check, and the embedded CDCL solver
+// (internal/sat) runs only where the check fails (sat.Options.
+// MaximalRepairs). No chain exploration happens, so the answer is exact
+// even when the sequence space dwarfs the DAG budget.
 //
 // The pipeline covers key-shaped EGD constraints and conjunctive queries
 // whose output variables all occur in the body; other inputs return
@@ -33,11 +38,11 @@ func ComputeCertainSAT(db *relation.Database, sigma *constraint.Set, q *fo.Query
 }
 
 // Certain returns the certain answers of q over the factored semantics:
-// the tuples with conditional probability exactly 1. While the repair
-// space fits the enumeration budget this filters the exact OCA; beyond
-// it (ErrEnumerationBudget — more than 2^20 repairs, non-atomic query)
-// the computation routes through the SAT engine, which answers the
-// certain question without enumerating repairs at all. The two paths are
+// the tuples with conditional probability exactly 1. While every
+// enumeration fits the budget (for a conjunctive query, every lineage
+// group) this filters the exact OCA; beyond it (ErrEnumerationBudget) the
+// computation routes through the SAT engine, which answers the certain
+// question without enumerating repairs at all. The two paths are
 // pinned against each other by the cross-engine equivalence suite.
 func (f *Factored) Certain(q *fo.Query) ([][]string, error) {
 	as, err := f.OCA(q)

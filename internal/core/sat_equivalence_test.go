@@ -187,14 +187,16 @@ func TestSATEquivalenceCliques(t *testing.T) {
 	}
 }
 
-// TestFactoredCertainSATFallback: on an instance whose repair space
-// exceeds the factored enumeration budget (4^22 repairs) and whose
-// sequence space exceeds any DAG budget, Factored.Certain must route
-// through SAT and still produce the exact certain set — here provably
-// the conflict-free core keys, cross-checked against the direct SAT
-// engine. This is the per-instance engine selection the issue asks for:
-// distribution queries keep the factored path, over-budget certain
-// queries jump to SAT.
+// TestFactoredCertainSATFallback: Factored.Certain filters the exact OCA
+// while every lineage group fits the enumeration budget and routes
+// through SAT past it. On the 22-group cliques instance (4^22 repairs,
+// past any DAG budget) the key query's witnesses each stay inside one
+// group, so OCA is exact, and its certain set — provably the conflict-
+// free core keys — matches the direct SAT engine. Conflict-free links
+// L(g_i, g_i+1, spread) then chain all 22 groups into one lineage group of
+// Tag(t) := ∃x,x2,y,y2 L(x, x2, t) ∧ R(x, y) ∧ R(x2, y2): OCA must trip
+// the budget, and Certain must fall back to SAT and still produce the
+// exact certain set ({core}, via links between the clean keys).
 func TestFactoredCertainSATFallback(t *testing.T) {
 	cfg := workload.CliqueConfig{Groups: 22, GroupSize: 3, Core: 5, Seed: 11}
 	d, sigma := workload.Cliques(cfg)
@@ -205,20 +207,18 @@ func TestFactoredCertainSATFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The enumeration really is over budget for this query.
-	if _, err := f.OCA(q); !errors.Is(err, core.ErrEnumerationBudget) {
-		t.Fatalf("OCA err = %v, want ErrEnumerationBudget", err)
+	if _, err := f.OCA(q); err != nil {
+		t.Fatalf("key query OCA over 4^22 repairs: %v (want exact through one-group lineage)", err)
 	}
-
 	got, err := f.Certain(q)
 	if err != nil {
-		t.Fatalf("Factored.Certain fallback: %v", err)
+		t.Fatal(err)
 	}
 	satRes, err := core.ComputeCertainSAT(d, sigma, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := certainDiff("factored-fallback vs sat", got, satRes.Answers); diff != "" {
+	if diff := certainDiff("factored vs sat", got, satRes.Answers); diff != "" {
 		t.Fatal(diff)
 	}
 	if len(got) != cfg.Core {
@@ -228,6 +228,40 @@ func TestFactoredCertainSATFallback(t *testing.T) {
 		if want := fmt.Sprintf("c%d", i); len(tup) != 1 || tup[0] != want {
 			t.Fatalf("certain[%d] = %v, want [%s]", i, tup, want)
 		}
+	}
+
+	linked := d.Clone()
+	for i := 0; i+1 < cfg.Groups; i++ {
+		linked.Insert(relation.NewFact("L", fmt.Sprintf("g%d", i), fmt.Sprintf("g%d", i+1), "spread"))
+	}
+	for i := 0; i+1 < cfg.Core; i++ {
+		linked.Insert(relation.NewFact("L", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1), "core"))
+	}
+	f, err = core.ComputeFactored(repair.MustInstance(linked, sigma), generators.Uniform{}, markov.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, x2, y, y2, tag := logic.Var("x"), logic.Var("x2"), logic.Var("y"), logic.Var("y2"), logic.Var("t")
+	tq := fo.MustQuery("Tag", []logic.Term{tag}, fo.Exists{Vars: []logic.Term{x, x2, y, y2}, F: fo.And{
+		L: fo.Atom{A: logic.NewAtom("L", x, x2, tag)},
+		R: fo.And{L: fo.Atom{A: logic.NewAtom("R", x, y)}, R: fo.Atom{A: logic.NewAtom("R", x2, y2)}},
+	}})
+	if _, err := f.OCA(tq); !errors.Is(err, core.ErrEnumerationBudget) {
+		t.Fatalf("linked OCA err = %v, want ErrEnumerationBudget", err)
+	}
+	got, err = f.Certain(tq)
+	if err != nil {
+		t.Fatalf("Factored.Certain fallback: %v", err)
+	}
+	satRes, err = core.ComputeCertainSAT(linked, sigma, tq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := certainDiff("factored-fallback vs sat", got, satRes.Answers); diff != "" {
+		t.Fatal(diff)
+	}
+	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != "core" {
+		t.Fatalf("linked certain = %v, want [[core]]", got)
 	}
 }
 

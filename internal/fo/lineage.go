@@ -52,6 +52,34 @@ func (q *Query) Lineage(d *relation.Database, conflicted []relation.Fact) (*Line
 	if !ok || len(unconstrained) > 0 {
 		return nil, false
 	}
+	return q.lineage(atoms, d, conflicted, logic.NewSubst()), true
+}
+
+// TupleLineage is Lineage restricted to one tuple: the homomorphism search
+// starts from the output variables bound to the tuple, so the lineage has
+// at most one candidate, and none when the tuple has the wrong arity or
+// names a constant no database holds (the tuple holds on no subset of d).
+func (q *Query) TupleLineage(d *relation.Database, conflicted []relation.Fact, tuple []string) (*Lineage, bool) {
+	atoms, unconstrained, ok := q.CQ()
+	if !ok || len(unconstrained) > 0 {
+		return nil, false
+	}
+	if len(tuple) != len(q.Out) {
+		return &Lineage{}, true
+	}
+	seed := logic.NewSubst()
+	for i, v := range q.Out {
+		c, interned := intern.Lookup(tuple[i])
+		if !interned {
+			return &Lineage{}, true
+		}
+		seed[v.Sym()] = c
+	}
+	return q.lineage(atoms, d, conflicted, seed), true
+}
+
+// lineage runs the witness pass of Lineage from the seed substitution.
+func (q *Query) lineage(atoms []logic.Atom, d *relation.Database, conflicted []relation.Fact, seed logic.Subst) *Lineage {
 	index := make(map[relation.Fact]int, len(conflicted))
 	for i, f := range conflicted {
 		if _, dup := index[f]; !dup {
@@ -65,7 +93,7 @@ func (q *Query) Lineage(d *relation.Database, conflicted []relation.Fact) (*Line
 	var args []intern.Sym
 	var w []int
 	var packBuf, keyBuf [64]byte
-	relation.ForEachHom(atoms, d, logic.NewSubst(), func(h logic.Subst) bool {
+	relation.ForEachHom(atoms, d, seed, func(h logic.Subst) bool {
 		for i, v := range q.Out {
 			tuple[i], _ = h.Lookup(v.Sym())
 		}
@@ -111,7 +139,7 @@ func (q *Query) Lineage(d *relation.Database, conflicted []relation.Fact) (*Line
 		}
 		return true
 	})
-	return l, true
+	return l
 }
 
 // ForEachAnswer calls fn once with the index of every candidate that
@@ -121,14 +149,22 @@ func (q *Query) Lineage(d *relation.Database, conflicted []relation.Fact) (*Line
 // visited in order.
 func (l *Lineage) ForEachAnswer(dead []bool, fn func(c int)) {
 	for c := range l.Candidates {
-		cand := &l.Candidates[c]
-		if cand.Certain || someWitnessAlive(cand.Witnesses, dead) {
+		if l.Candidates[c].Answers(dead) {
 			fn(c)
 		}
 	}
 }
 
-func someWitnessAlive(witnesses [][]int, dead []bool) bool {
+// Answers reports whether the candidate answers on D minus the dead
+// conflicted facts: it is certain or keeps a witness none of whose facts
+// is dead.
+func (c *LineageCandidate) Answers(dead []bool) bool {
+	return c.Certain || SomeWitnessAlive(c.Witnesses, dead)
+}
+
+// SomeWitnessAlive reports whether one of the witnesses (index sets into
+// a conflicted-fact list) has no dead fact.
+func SomeWitnessAlive(witnesses [][]int, dead []bool) bool {
 	for _, w := range witnesses {
 		alive := true
 		for _, i := range w {

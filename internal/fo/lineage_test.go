@@ -243,3 +243,57 @@ func TestLineageRefusesNonCQs(t *testing.T) {
 		t.Errorf("Boolean CQ witnesses %v, want one per fact", w)
 	}
 }
+
+// TestTupleLineageMatchesLineage: the lineage restricted to one tuple has
+// exactly that tuple's candidate of the full lineage — same certainty,
+// same witness sets — and no candidate for a tuple without a witness, of
+// the wrong arity, or over a constant no database holds.
+func TestTupleLineageMatchesLineage(t *testing.T) {
+	witnessSet := func(c fo.LineageCandidate) map[string]bool {
+		out := map[string]bool{}
+		for _, w := range c.Witnesses {
+			out[fmt.Sprint(w)] = true
+		}
+		return out
+	}
+	checked := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		d, sigma := injectDB(seed)
+		d.Seal()
+		conflicted := constraint.FindViolations(d, sigma).InvolvedFacts()
+		rng := rand.New(rand.NewSource(seed))
+		for qi := 0; qi < 12; qi++ {
+			q := randomCQ(rng, d)
+			lin, _ := q.Lineage(d, conflicted)
+			for _, c := range lin.Candidates {
+				tl, ok := q.TupleLineage(d, conflicted, intern.Names(c.Tuple))
+				if !ok || len(tl.Candidates) != 1 {
+					t.Fatalf("%s%v: tuple lineage %+v ok=%v, want one candidate", q, c.Tuple, tl, ok)
+				}
+				got := tl.Candidates[0]
+				if got.Certain != c.Certain || fmt.Sprint(witnessSet(got)) != fmt.Sprint(witnessSet(c)) {
+					t.Fatalf("%s%v: tuple lineage %+v, full lineage %+v", q, c.Tuple, got, c)
+				}
+				checked++
+			}
+			absent := make([]string, len(q.Out))
+			for i := range absent {
+				absent[i] = "no-such-constant"
+			}
+			if tl, ok := q.TupleLineage(d, conflicted, absent); !ok || (len(absent) > 0 && len(tl.Candidates) != 0) {
+				t.Fatalf("%s: absent tuple lineage %+v ok=%v", q, tl, ok)
+			}
+			if tl, ok := q.TupleLineage(d, conflicted, append(absent, "extra")); !ok || len(tl.Candidates) != 0 {
+				t.Fatalf("%s: wrong-arity tuple lineage %+v ok=%v", q, tl, ok)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Errorf("only %d candidates checked", checked)
+	}
+	x := logic.Var("X")
+	neg := fo.MustQuery("Neg", []logic.Term{x}, fo.Not{F: fo.Atom{A: logic.NewAtom("R", x, x)}})
+	if _, ok := neg.TupleLineage(relation.NewDatabase(), nil, []string{"a"}); ok {
+		t.Error("TupleLineage accepted a query with negation")
+	}
+}

@@ -107,6 +107,27 @@ func TestNullModeDeterministicNullNames(t *testing.T) {
 	}
 }
 
+// TestNullModeNullNamesPinned: null names hash the violation's stable key
+// (constraint id and binding), which is built lazily on first use; the
+// names must stay exactly what earlier builds produced, or replayed op logs
+// and recorded chains would name different nulls.
+func TestNullModeNullNamesPinned(t *testing.T) {
+	inst := inclusionInstance(t, Options{NullInsertions: true})
+	var got []string
+	for _, o := range inst.Root().Extensions() {
+		got = append(got, o.String())
+	}
+	want := []string{"+S(y1, null_a117d65a_z)", "+S(y2, null_13d8e398_z)", "-R(x1, y1)", "-R(x2, y2)"}
+	if len(got) != len(want) {
+		t.Fatalf("extensions = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("extension %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
 // TestNullModeChaseDepth: inserted null facts can themselves trigger
 // further TGD violations (a chase); the process still terminates here and
 // remains validated.

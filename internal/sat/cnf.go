@@ -80,6 +80,26 @@ func (c *CNF) Clone() *CNF {
 	return out
 }
 
+// AllFalseModel reports whether the all-false assignment satisfies the
+// formula: every clause holds a negative literal. O(clauses), no search.
+func (c *CNF) AllFalseModel() bool {
+	for _, cl := range c.clauses {
+		if !hasNegative(cl) {
+			return false
+		}
+	}
+	return true
+}
+
+func hasNegative(cl []Lit) bool {
+	for _, l := range cl {
+		if l < 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // pairwiseAtMostOneLimit is the group size up to which at-most-one is
 // encoded with the O(n²) pairwise clauses; larger groups use the sequential
 // (ladder) encoding, which is linear in clauses and auxiliary variables.

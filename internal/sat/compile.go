@@ -56,6 +56,10 @@ type Encoder struct {
 	vars   map[uint32]Var    // fact ID → keep-variable
 	facts  []relation.Fact   // facts[v-1] = fact of variable v (v ≤ len(facts); ladder auxiliaries come after)
 	groups [][]relation.Fact // violating key groups, deterministic order
+	// baseAllFalse records that the all-false assignment — the repair that
+	// deletes every conflicted fact — satisfies the group constraints: true
+	// for the at-most-one base, false under MaximalRepairs.
+	baseAllFalse bool
 }
 
 // NewEncoder validates that sigma consists solely of key-shaped EGDs
@@ -100,6 +104,7 @@ func NewEncoder(db *relation.Database, sigma *constraint.Set, opts Options) (*En
 		}
 	}
 	e.base = cnf
+	e.baseAllFalse = cnf.AllFalseModel()
 	return e, nil
 }
 
@@ -180,7 +185,13 @@ type CertainResult struct {
 	// Immediate counts candidates decided without a solver call: some
 	// witness used only conflict-free facts.
 	Immediate int
-	// Solved counts solver invocations (one per remaining candidate).
+	// Refuted counts candidates shown non-certain without a solver call:
+	// the all-false assignment (the repair deleting every conflicted fact)
+	// satisfies the base and every witness clause, so that repair breaks
+	// every witness.
+	Refuted int
+	// Solved counts solver invocations (one per remaining candidate);
+	// Immediate + Refuted + Solved == Candidates.
 	Solved int
 	// Vars and Clauses describe the shared base formula (group cardinality
 	// constraints, including ladder auxiliaries); Groups the violating key
@@ -192,7 +203,11 @@ type CertainResult struct {
 
 // CertainAnswers computes the certain answers of q: the tuples that are
 // answers in every repair. A candidate tuple is certain iff
-// base ∧ its witness clauses is unsatisfiable.
+// base ∧ its witness clauses is unsatisfiable. Witness clauses are
+// all-negative, so whenever the base admits the all-false assignment
+// (the default at-most-one repair space) that assignment is a model of
+// every candidate formula and no solver is built; the solver runs only
+// when the check fails (Options.MaximalRepairs).
 func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	cands, err := e.collect(q)
 	if err != nil {
@@ -209,9 +224,12 @@ func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	}
 	for _, c := range cands {
 		certain := c.certain
-		if certain {
+		switch {
+		case certain:
 			res.Immediate++
-		} else {
+		case e.refutedByAllFalse(c.witness):
+			res.Refuted++
+		default:
 			f := e.base.Clone()
 			for _, cl := range c.witness {
 				f.Add(cl...)
@@ -229,8 +247,25 @@ func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	return res, nil
 }
 
+// refutedByAllFalse reports that the all-false assignment satisfies the
+// base and every witness clause: the repair deleting every conflicted fact
+// breaks every witness, so the candidate is not certain.
+func (e *Encoder) refutedByAllFalse(witness [][]Lit) bool {
+	if !e.baseAllFalse {
+		return false
+	}
+	for _, cl := range witness {
+		if !hasNegative(cl) {
+			return false
+		}
+	}
+	return true
+}
+
 // Certain decides one tuple: is it an answer in every repair? A tuple
-// with no witness on the full database is not certain (monotonicity).
+// with no witness on the full database is not certain (monotonicity); a
+// formula the all-false assignment satisfies is not certain without a
+// solver call.
 func (e *Encoder) Certain(q *fo.Query, tuple []string) (bool, error) {
 	cnf, found, err := e.TupleCNF(q, tuple)
 	if err != nil {
@@ -241,6 +276,9 @@ func (e *Encoder) Certain(q *fo.Query, tuple []string) (bool, error) {
 	}
 	if cnf == nil {
 		return true, nil // conflict-free witness
+	}
+	if cnf.AllFalseModel() {
+		return false, nil
 	}
 	s := NewSolver(cnf)
 	return !s.Solve(), nil

@@ -367,7 +367,9 @@ func TestWriteTupleDIMACS(t *testing.T) {
 }
 
 // TestResultAccounting sanity-checks the CertainResult counters on an
-// instance where they are all predictable.
+// instance where they are all predictable: every candidate is decided by
+// exactly one of the three routes, and on the default at-most-one repair
+// space the all-deleted repair refutes every group key without a solver.
 func TestResultAccounting(t *testing.T) {
 	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 4, GroupSize: 3, Core: 2, Seed: 9})
 	enc, err := sat.NewEncoder(db, sigma, sat.Options{})
@@ -381,13 +383,45 @@ func TestResultAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 candidate keys: 4 group keys (solver: SAT → not certain) + 2 core
-	// keys (immediate).
-	if res.Candidates != 6 || res.Immediate != 2 || res.Solved != 4 || len(res.Answers) != 2 {
+	if res.Immediate+res.Refuted+res.Solved != res.Candidates {
+		t.Fatalf("Immediate %d + Refuted %d + Solved %d != Candidates %d", res.Immediate, res.Refuted, res.Solved, res.Candidates)
+	}
+	// 6 candidate keys: 4 group keys (refuted by the all-deleted repair) +
+	// 2 core keys (immediate).
+	if res.Candidates != 6 || res.Immediate != 2 || res.Refuted != 4 || res.Solved != 0 || len(res.Answers) != 2 {
+		t.Fatalf("accounting: %+v", res)
+	}
+	if res.Stats != (sat.Stats{}) {
+		t.Errorf("no solver ran, yet stats = %+v", res.Stats)
+	}
+}
+
+// TestMaximalRepairsReachesSolver: under exactly-one the covering clauses
+// are all-positive, so the all-false check fails and every group key goes
+// to the solver (SAT: not certain).
+func TestMaximalRepairsReachesSolver(t *testing.T) {
+	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 4, GroupSize: 3, Core: 2, Seed: 9})
+	enc, err := sat.NewEncoder(db, sigma, sat.Options{MaximalRepairs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := enc.CertainAnswers(existsQuery("R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every group keeps exactly one fact, and every fact of a group has the
+	// group's key: all 6 keys are certain.
+	if res.Candidates != 6 || res.Immediate != 2 || res.Refuted != 0 || res.Solved != 4 || len(res.Answers) != 6 {
 		t.Fatalf("accounting: %+v", res)
 	}
 	if res.Stats.Propagations == 0 {
 		t.Error("expected some solver propagations")
+	}
+	for _, tup := range res.CandidateTuples {
+		ok, err := enc.Certain(existsQuery("R"), tup)
+		if err != nil || !ok {
+			t.Errorf("Certain(%v) = %v, %v; want certain", tup, ok, err)
+		}
 	}
 }
 

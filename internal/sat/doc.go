@@ -33,7 +33,15 @@
 //
 // is satisfiable iff some repair breaks every witness, i.e. iff t is NOT
 // certain. A witness with no conflicted facts survives every repair and
-// short-circuits to "certain" without touching the solver. The sequence
+// short-circuits to "certain" without touching the solver. Every witness
+// clause is all-negative and every at-most-one clause (pairwise or
+// ladder) holds a negative literal, so the all-false assignment — the
+// operational repair that deletes every conflicted fact — is a model of
+// every remaining candidate's formula: CertainAnswers and Certain check
+// that assignment in O(clauses) and refute the candidate without
+// building a solver (CertainResult.Refuted). The solver runs only when
+// the check fails, as under MaximalRepairs, whose covering clauses are
+// all-positive. The sequence
 // space of the chain never enters the encoding — instances whose DAG
 // exploration would need 2^63+ sequences solve in microseconds when
 // their logical structure is shallow.
@@ -48,9 +56,7 @@
 //
 // Solver is a small deterministic CDCL solver (two-watched-literal
 // propagation, first-UIP clause learning, activity-driven branching with
-// phase saving, geometric restarts) — pure Go, no subprocess. The
-// false-first default polarity means the all-false model of a pure
-// at-most-one base is found in one descent. CNF.WriteDIMACS /
+// phase saving, geometric restarts) — pure Go, no subprocess. CNF.WriteDIMACS /
 // Encoder.WriteTupleDIMACS export any instance for external
 // cross-checks: SAT ⇔ not certain.
 //

@@ -56,9 +56,13 @@
 //     of the island's canonical form up to constant renaming
 //     (relation.AppendIDKey) — the human-readable Database.Key appears
 //     only in the HTTP JSON presentation layer.
-//   - Non-atomic queries that overflow the exact enumeration budget
-//     degrade to the (ε, δ) sampling estimator instead of failing; the
-//     response's exact flag reports which route answered.
+//   - Conjunctive queries are answered exactly from their witness
+//     lineage: only the components a tuple's witnesses link are
+//     enumerated, so a two-atom probe of one island is exact however many
+//     islands the snapshot holds. Non-atomic queries that still overflow
+//     the exact enumeration budget degrade to the (ε, δ) sampling
+//     estimator instead of failing; the response's exact flag reports
+//     which route answered.
 //
 // # Neighbors
 //

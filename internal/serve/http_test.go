@@ -3,11 +3,19 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/generators"
+	"repro/internal/intern"
+	"repro/internal/markov"
+	"repro/internal/parse"
+	"repro/internal/relation"
+	"repro/internal/repair"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -177,4 +185,59 @@ func TestHTTPBodyLimit(t *testing.T) {
 	_, ts := httpFixture(t)
 	huge := serve.IngestRequest{Insert: []string{"E(" + string(bytes.Repeat([]byte{'a'}, 2<<20)) + ", b)"}}
 	postJSON(t, ts.URL+"/v1/ingest", huge, http.StatusRequestEntityTooLarge, nil)
+}
+
+// TestHTTPTwoAtomQueryExact: /v1/query answers a two-atom conjunctive
+// query exactly on a 200-island snapshot (a repair space far past the
+// enumeration budget): the tuple's witnesses touch island 0 only, so only
+// that island's repairs are enumerated. The values match the query evaluated on
+// every repair of island 0 alone.
+func TestHTTPTwoAtomQueryExact(t *testing.T) {
+	db, sigma := workload.Islands(workload.IslandsConfig{Islands: 200, FactsPerIsland: 8, IsoRatio: 0.9, Seed: 1})
+	s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.Handler(s))
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	island0 := relation.NewDatabase()
+	for _, f := range db.Facts() {
+		if strings.HasPrefix(intern.Name(f.Args()[0]), "i00000000_") {
+			island0.Insert(f)
+		}
+	}
+	sem, err := core.Compute(repair.MustInstance(island0, sigma), generators.Uniform{}, markov.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		tuple []string
+	}{
+		// A two-edge path is itself a violation: exactly 0.
+		{"Q(X, Z) := exists Y: (E(X, Y) & E(Y, Z)).", []string{"i00000000_n000", "i00000000_n002"}},
+		// Two non-adjacent edges of island 0 survive together.
+		{"Q(X, Z) := exists Y, W: (E(X, Y) & E(Z, W)).", []string{"i00000000_n000", "i00000000_n003"}},
+	} {
+		q, err := parse.Query(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr serve.QueryResponse
+		postJSON(t, ts.URL+"/v1/query", serve.QueryRequest{Query: tc.query, Tuple: tc.tuple}, http.StatusOK, &qr)
+		if !qr.Exact || qr.P == nil {
+			t.Fatalf("%s%v: %+v, want an exact answer", tc.query, tc.tuple, qr)
+		}
+		// Reference: evaluate the query on every repair of island 0.
+		want := new(big.Rat)
+		for _, r := range sem.Repairs {
+			if q.Holds(r.DB, tc.tuple) {
+				want.Add(want, r.P)
+			}
+		}
+		if want.Quo(want, sem.SuccessP); qr.P.Rat != want.RatString() {
+			t.Errorf("%s%v = %s, want %s (island 0 alone)", tc.query, tc.tuple, qr.P.Rat, want.RatString())
+		}
+	}
 }

@@ -499,9 +499,11 @@ func (s *Server) FactProbability(f relation.Fact) (*big.Rat, uint64) {
 }
 
 // CP answers the conditional-probability query on the current snapshot.
-// Atomic queries read exact marginals; other queries enumerate the product
-// distribution exactly while it fits the budget and degrade to the (ε, δ)
-// sampling estimate past it — exact reports which route answered.
+// Atomic queries read exact marginals; conjunctive queries enumerate only
+// the components the tuple's witnesses link (core.Factored.CP), other
+// queries the whole product distribution, exactly while the enumeration
+// fits the budget, degrading to the (ε, δ) sampling estimate past it —
+// exact reports which route answered.
 func (s *Server) CP(q *fo.Query, tuple []string) (p *big.Rat, exact bool, version uint64, err error) {
 	sn := s.cur.Load()
 	p, exact, err = sn.Fac.CPOrEstimate(q, tuple, s.opts.Eps, s.opts.Delta, s.opts.Seed)
@@ -509,8 +511,9 @@ func (s *Server) CP(q *fo.Query, tuple []string) (p *big.Rat, exact bool, versio
 }
 
 // OCA answers the operational consistent answers on the current snapshot.
-// Atomic queries scan once and read marginals; others enumerate under the
-// exact budget.
+// Atomic queries scan once and read marginals; conjunctive queries answer
+// each candidate from its witness lineage groups, others enumerate the
+// product; both under the exact budget.
 func (s *Server) OCA(q *fo.Query) (*core.AnswerSet, uint64, error) {
 	sn := s.cur.Load()
 	as, err := sn.Fac.OCA(q)

@@ -283,8 +283,9 @@ func TestServeBatchAtomicityAndNoops(t *testing.T) {
 // and reports exact = false, while atomic queries on the same server stay
 // exact. This pins the serving behavior on over-budget requests.
 func TestServeDegradation(t *testing.T) {
-	// 25 two-fact islands: each has 2 repairs, so the product 2^25 blows
-	// the 2^20 enumeration budget while each component stays trivial.
+	// 25 two-fact islands: each has 2 repairs, so a lineage group spanning
+	// all of them (2^25 repairs) blows the 2^20 enumeration budget while
+	// each component stays trivial.
 	db, sigma := workload.Islands(workload.IslandsConfig{Islands: 25, FactsPerIsland: 2, IsoRatio: 1, Seed: 5})
 	s, err := serve.New(db, sigma, generators.Uniform{}, serve.Options{Eps: 0.2, Delta: 0.2, Seed: 9})
 	if err != nil {
@@ -292,8 +293,14 @@ func TestServeDegradation(t *testing.T) {
 	}
 	defer s.Close()
 
-	x, y := logic.Var("x"), logic.Var("y")
-	nonAtomic := fo.MustQuery("Q", []logic.Term{x}, fo.Exists{Vars: []logic.Term{y}, F: fo.Atom{A: logic.NewAtom("E", x, y)}})
+	// Q(x) := ∃y,z,w E(x,y) ∧ E(z,w) pairs x's fact with every fact of
+	// every island, so its witnesses link all 25 components into one
+	// lineage group.
+	x, y, z, w := logic.Var("x"), logic.Var("y"), logic.Var("z"), logic.Var("w")
+	nonAtomic := fo.MustQuery("Q", []logic.Term{x}, fo.Exists{Vars: []logic.Term{y, z, w}, F: fo.And{
+		L: fo.Atom{A: logic.NewAtom("E", x, y)},
+		R: fo.Atom{A: logic.NewAtom("E", z, w)},
+	}})
 	tuple := []string{"i00000003_n000"}
 	p, exact, _, err := s.CP(nonAtomic, tuple)
 	if err != nil {
