@@ -216,6 +216,33 @@ func BenchmarkUniformWalks(b *testing.B) {
 	}
 }
 
+// BenchmarkSNISWalks is the importance-sampling fallback of the uniform
+// estimator end to end on a TGD chain, in the shape of perfbench's
+// approx-snis task: an inclusion dependency over four rows, two of them
+// dangling, n = 1246 walks (ε = 0.07, δ = 1e-5) on two workers. Each
+// worker keeps a walk tree, so a prefix's extensions, weights and answers
+// are derived once per worker instead of at every step of every walk.
+func BenchmarkSNISWalks(b *testing.B) {
+	var d *relation.Database
+	var sigma *constraint.Set
+	for i := int64(0); d == nil || d.Size() != 6; i++ {
+		d, sigma = workload.Inclusion(workload.InclusionConfig{Rows: 4, MissingRate: 0.5, Seed: 1 + 1000*i})
+	}
+	inst := repair.MustInstance(d, sigma)
+	x, y := logic.Var("x"), logic.Var("y")
+	q := fo.MustQuery("Q", []logic.Term{x, y}, fo.Atom{A: logic.NewAtom("R", x, y)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est := &sampling.Estimator{
+			Inst: inst, Gen: generators.Uniform{}, Seed: int64(i), Workers: 2,
+			Mode: core.SequenceUniform,
+		}
+		if _, err := est.EstimateWithN(q, 1246); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSamplingWalks measures one random walk against database size;
 // the per-walk cost stays polynomial as conflicts grow.
 func BenchmarkSamplingWalks(b *testing.B) {

@@ -189,6 +189,61 @@ func TestInvolvedFacts(t *testing.T) {
 	}
 }
 
+// TestForEachInvolvedFact: the visitor sees every fact of InvolvedFacts
+// exactly once — below the scan limit (overlapping key groups, where one
+// fact sits in several bodies) and past it (the hash-set path) — stops
+// when visit returns false, and allocates nothing on small sets.
+func TestForEachInvolvedFact(t *testing.T) {
+	key := MustEGD([]logic.Atom{at("R", v("x"), v("y")), at("R", v("x"), v("z"))}, v("y"), v("z"))
+	set := NewSet(key)
+	for _, groups := range []int{1, 3, 20} {
+		d := relation.NewDatabase()
+		for g := 0; g < groups; g++ {
+			for m := 0; m < 3; m++ {
+				d.Insert(relation.NewFact("R", "k"+strings.Repeat("g", g), strings.Repeat("m", m+1)))
+			}
+		}
+		d.Insert(relation.NewFact("R", "clean", "x"))
+		vs := FindViolations(d, set)
+		if small := vs.Len() <= involvedScanMax; small != (groups < 20) {
+			t.Fatalf("groups=%d: %d violations, scan path = %v", groups, vs.Len(), small)
+		}
+		want := map[relation.Fact]bool{}
+		for _, f := range vs.InvolvedFacts() {
+			want[f] = true
+		}
+		got := map[relation.Fact]int{}
+		vs.ForEachInvolvedFact(func(f relation.Fact) bool {
+			got[f]++
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("groups=%d: visited %d facts, want %d", groups, len(got), len(want))
+		}
+		for f, n := range got {
+			if !want[f] || n != 1 {
+				t.Fatalf("groups=%d: fact %s visited %d times (involved: %v)", groups, f, n, want[f])
+			}
+		}
+		calls := 0
+		vs.ForEachInvolvedFact(func(relation.Fact) bool {
+			calls++
+			return calls < 2
+		})
+		if calls != 2 {
+			t.Errorf("groups=%d: visit returned false on the second fact, got %d calls", groups, calls)
+		}
+		if groups < 20 {
+			n := 0
+			if allocs := testing.AllocsPerRun(20, func() {
+				vs.ForEachInvolvedFact(func(relation.Fact) bool { n++; return true })
+			}); allocs != 0 {
+				t.Errorf("groups=%d: %v allocs per call, want 0", groups, allocs)
+			}
+		}
+	}
+}
+
 func TestViolationKeyStable(t *testing.T) {
 	d, set, _, _ := example1()
 	vs1 := FindViolations(d, set)

@@ -489,6 +489,50 @@ func (vs *Violations) Minus(other *Violations) []Violation {
 	return out
 }
 
+// involvedScanMax is the largest violation set ForEachInvolvedFact
+// deduplicates by scanning earlier bodies; larger sets use a hash set so
+// the cost stays linear.
+const involvedScanMax = 32
+
+// ForEachInvolvedFact calls visit once for every distinct fact of
+// InvolvedFacts, in violation order rather than sorted, until visit
+// returns false. Up to involvedScanMax violations it allocates nothing: a
+// body fact is a repeat iff an earlier body holds it (bodies are a
+// handful of distinct facts). Callers that only aggregate over the
+// involved facts — the preference generator's normalizing weight, at
+// every walk step — use it instead of building and sorting the set.
+func (vs *Violations) ForEachInvolvedFact(visit func(relation.Fact) bool) {
+	vs.norm()
+	if len(vs.vs) > involvedScanMax {
+		seen := make(map[relation.Fact]struct{}, 2*len(vs.vs))
+		for _, v := range vs.vs {
+			for _, f := range v.BodyFacts() {
+				if _, dup := seen[f]; dup {
+					continue
+				}
+				seen[f] = struct{}{}
+				if !visit(f) {
+					return
+				}
+			}
+		}
+		return
+	}
+	for i, v := range vs.vs {
+	facts:
+		for _, f := range v.BodyFacts() {
+			for _, u := range vs.vs[:i] {
+				if u.bodyHasFact(f) {
+					continue facts
+				}
+			}
+			if !visit(f) {
+				return
+			}
+		}
+	}
+}
+
 // InvolvedFacts returns the union of h(ϕ) over all violations: the facts of
 // the database that participate in at least one violation. This is the set
 // V_Σ(D) of atoms used by the preference generator of Example 4 and the

@@ -66,20 +66,35 @@ func (p Preference) weight(db *relation.Database, pred intern.Sym, first intern.
 	return n
 }
 
+// involvedWeight returns Σ_{β ∈ V_Σ(D)} w(β, D), the normalizing constant
+// of the importance, visiting each involved fact once without building the
+// sorted fact set. Every involved atom must have the shape Pred/2.
+func (p Preference) involvedWeight(s *repair.State, pred intern.Sym) (int64, error) {
+	db := s.Result()
+	var total int64
+	var bad relation.Fact
+	badShape := false
+	s.Violations().ForEachInvolvedFact(func(f relation.Fact) bool {
+		if f.Pred() != pred || f.Arity() != 2 {
+			bad, badShape = f, true
+			return false
+		}
+		total += p.weight(db, pred, f.Args()[0])
+		return true
+	})
+	if badShape {
+		return 0, fmt.Errorf("generators: preference generator saw violation atom %s outside %s/2", bad, pred)
+	}
+	return total, nil
+}
+
 // Transitions implements markov.Generator.
 func (p Preference) Transitions(s *repair.State, exts []ops.Op) ([]*big.Rat, error) {
 	db := s.Result()
 	pred := p.pred()
-	involved := s.Violations().InvolvedFacts()
-
-	// Σ_{β ∈ V_Σ(D)} w(β, D), the normalizing constant of the importance.
-	var total int64
-	for _, f := range involved {
-		args := f.Args()
-		if f.Pred() != pred || len(args) != 2 {
-			return nil, fmt.Errorf("generators: preference generator saw violation atom %s outside %s/2", f, pred)
-		}
-		total += p.weight(db, pred, args[0])
+	total, err := p.involvedWeight(s, pred)
+	if err != nil {
+		return nil, err
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("generators: preference generator has zero total weight at state %q", s)
@@ -114,12 +129,9 @@ func (p Preference) IntWeights(s *repair.State, exts []ops.Op, dst []int64) ([]i
 	// fact total (the symmetry-closure property of Example 4). Verify it so
 	// the fast path only engages where the exact path would accept the
 	// chain; otherwise decline and let markov.Step report ill-definedness.
-	var involvedTotal int64
-	for _, f := range s.Violations().InvolvedFacts() {
-		if f.Pred() != pred || f.Arity() != 2 {
-			return dst, false, fmt.Errorf("generators: preference generator saw violation atom %s outside %s/2", f, pred)
-		}
-		involvedTotal += p.weight(db, pred, f.Args()[0])
+	involvedTotal, err := p.involvedWeight(s, pred)
+	if err != nil {
+		return dst, false, err
 	}
 	var total int64
 	for _, op := range exts {

@@ -88,7 +88,8 @@ func Collapsible(inst *repair.Instance, g Generator) bool {
 // weights are inherently rational). Random walks use this to step without
 // any big.Rat arithmetic — the sampled edge is identical to the one the
 // exact path picks from the same RNG draw — and ExploreDAG resolves edges
-// through it (stepRats). The sequence-tree walk (Explore, BuildTree)
+// through it (stepRats); both go through CheckedIntWeights, which validates
+// the weights first. The sequence-tree walk (Explore, BuildTree)
 // deliberately keeps Transitions, so the tree ≡ DAG equivalence suite
 // cross-checks the two weight paths against each other.
 type IntWeighter interface {
@@ -158,51 +159,62 @@ type ratEdge struct {
 	p  prob.Rat
 }
 
+// CheckedIntWeights resolves the transition weights of s through g's
+// IntWeighter fast path, appending one weight per extension of s to dst,
+// and validates them: ok reports that the weights form a distribution —
+// one per extension, none negative, a positive total that fits in int64 —
+// whose probabilities w_i/total are exactly the rationals Transitions
+// would return. ok = false covers a generator without the fast path, one
+// that declines (IntWeights returns ok = false), and weights failing any
+// check; callers then fall back to Step, which reports an ill-defined
+// generator as ErrNotWellDefined. The DAG engine (stepRats) and the
+// random walkers share this check, so a bad generator gets the same error
+// from every engine. IntWeights errors propagate.
+func CheckedIntWeights(g Generator, s *repair.State, exts []ops.Op, dst []int64) (ws []int64, total int64, ok bool, err error) {
+	iw, fast := g.(IntWeighter)
+	if !fast {
+		return dst, 0, false, nil
+	}
+	ws, ok, err = iw.IntWeights(s, exts, dst)
+	if err != nil {
+		return ws, 0, false, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
+	}
+	if !ok || len(ws) != len(exts) {
+		return ws, 0, false, nil
+	}
+	for _, w := range ws {
+		// Both terms are non-negative, so the sum overflows exactly when
+		// it wraps below zero.
+		if total += w; w < 0 || total < 0 {
+			return ws, 0, false, nil
+		}
+	}
+	return ws, total, total > 0, nil
+}
+
 // stepRats is Step in small-rational form, appending the outgoing edges to
 // buf and the integer weights to ws (scratch reused across nodes) instead
-// of allocating fresh slices.
-// For IntWeighter generators the probabilities w_i/Σw are formed directly
-// from the integer weights — exactly the rationals Transitions would
-// return, without creating any big.Rat; otherwise it delegates to Step
-// (inheriting its full well-definedness validation) and converts. Like the
-// walkers, IntWeights errors propagate and a declined fast path (ok=false,
-// or a weight sum outside int64) falls back to the exact route.
+// of allocating fresh slices. Weights that pass CheckedIntWeights become
+// the probabilities w_i/Σw directly — exactly the rationals Transitions
+// would return, without creating any big.Rat; otherwise it delegates to
+// Step (inheriting its full well-definedness validation) and converts.
 func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdge, []int64, error) {
 	exts := s.Extensions()
 	if len(exts) == 0 {
 		return buf, ws, nil
 	}
-	if iw, ok := g.(IntWeighter); ok {
-		var wok bool
-		var err error
-		ws, wok, err = iw.IntWeights(s, exts, ws[:0])
-		if err != nil {
-			return buf, ws, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
-		}
-		if wok && len(ws) == len(exts) {
-			total := int64(0)
-			valid := true
-			for _, w := range ws {
-				if w < 0 {
-					valid = false
-					break
-				}
-				var sok bool
-				if total, sok = add64(total, w); !sok {
-					valid = false
-					break
-				}
+	ws, total, ok, err := CheckedIntWeights(g, s, exts, ws[:0])
+	if err != nil {
+		return buf, ws, err
+	}
+	if ok {
+		for i, w := range ws {
+			if w == 0 {
+				continue
 			}
-			if valid && total > 0 {
-				for i, w := range ws {
-					if w == 0 {
-						continue
-					}
-					buf = append(buf, ratEdge{op: exts[i], p: prob.RatFrac(w, total)})
-				}
-				return buf, ws, nil
-			}
+			buf = append(buf, ratEdge{op: exts[i], p: prob.RatFrac(w, total)})
 		}
+		return buf, ws, nil
 	}
 	edges, err := Step(g, s)
 	if err != nil {
@@ -212,16 +224,6 @@ func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdg
 		buf = append(buf, ratEdge{op: e.Op, p: prob.RatFromBig(e.P)})
 	}
 	return buf, ws, nil
-}
-
-// add64 is overflow-checked int64 addition (mirrors the prob package's
-// internal helper).
-func add64(a, b int64) (int64, bool) {
-	c := a + b
-	if (b > 0 && c < a) || (b < 0 && c > a) {
-		return 0, false
-	}
-	return c, true
 }
 
 // ExploreOptions tunes chain exploration.

@@ -171,7 +171,6 @@ func MulInt64(r *big.Rat, k int64) *big.Rat {
 // bit-identical walks without big.Rat arithmetic. It panics on an empty or
 // non-positive weight list.
 func PickInt(rng *rand.Rand, ws []int64) int {
-	const resolution = 1 << 53
 	var total uint64
 	for _, w := range ws {
 		if w < 0 {
@@ -179,6 +178,14 @@ func PickInt(rng *rand.Rand, ws []int64) int {
 		}
 		total += uint64(w)
 	}
+	return PickIntSum(rng, ws, total)
+}
+
+// PickIntSum is PickInt for callers that already hold total = Σ ws (and
+// have checked the weights are non-negative): it skips the summing pass
+// and returns the same index from the same draw.
+func PickIntSum(rng *rand.Rand, ws []int64, total uint64) int {
+	const resolution = 1 << 53
 	if len(ws) == 0 || total == 0 {
 		panic("prob: PickInt requires non-empty weights with positive sum")
 	}

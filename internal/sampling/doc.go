@@ -4,14 +4,33 @@
 //
 // # Key types
 //
-//   - Walk: one random walk down the repairing Markov chain, stepping with
-//     the generator's own probabilities. Generators exposing integer
-//     weights (markov.IntWeighter) step without big.Rat arithmetic,
-//     bit-identical to the exact path, into one weight buffer per walk.
-//     Every step is repair.State.ChildInPlace: for TGD-free Σ it filters
-//     the walk's own violation set and extension list in place, so a step
-//     copies neither (the first step copies the instance's shared root
-//     caches, which no walk ever writes).
+//   - Walk / stepper (walk.go): one random walk down the repairing Markov
+//     chain. One stepper serves both walkers: in walk mode it steps with
+//     the generator's own probabilities, in uniform mode (the SNIS
+//     proposal) it picks uniformly among the support and adds log k to
+//     the walk's log weight. Generators exposing integer weights
+//     (markov.IntWeighter) step without big.Rat arithmetic, bit-identical
+//     to the exact path, once markov.CheckedIntWeights accepts the
+//     weights (one per extension, non-negative, positive total within
+//     int64); other weights go through markov.Step, so a bad generator
+//     gets ErrNotWellDefined from every engine. Every step is
+//     repair.State.ChildInPlace: for TGD-free Σ it filters the walk's own
+//     violation set and extension list in place, so a step copies neither
+//     (the first step copies the instance's shared root caches, which no
+//     walk ever writes).
+//   - The walk tree (walkMemo): when Σ has TGDs and the generator has
+//     integer weights, each estimator worker keeps a prefix tree of the
+//     chain, built lazily and keyed by the ops along each path. A kept
+//     node holds its support, weights and child slots; a kept leaf its
+//     success flag and packed answers. A walk descends kept nodes at the
+//     cost of its draws, replays the path's ops from the root at the
+//     first position the tree lacks, and continues live, keeping the
+//     nodes it passes until a fixed per-worker entry budget
+//     (memoEntries) is spent. Under TGDs a live step enumerates additions
+//     over the base domain and re-checks Definition 4 against the whole
+//     sequence, and the estimator's walks share most prefixes. TGD-free
+//     walks keep the in-place live step: there most prefixes are
+//     distinct, and a tree only costs memory.
 //   - Estimator: n-walk estimation. For the walk-induced mode (the zero
 //     value of Mode) it is the additive-error scheme of Theorem 9:
 //     n = ⌈ln(2/δ)/(2ε²)⌉ samples put every tuple estimate within ε of
@@ -41,6 +60,10 @@
 //     merge by summation (walk mode) or in walk-index order (uniform
 //     mode, where weighted sums are floating-point). A Run is therefore
 //     bit-identical for every Workers value.
+//   - A walk-tree node's content is a pure function of its path, and a
+//     walk draws exactly the live walk's random numbers, so memoized and
+//     live walks end in the same place and Runs stay bit-identical with
+//     the tree on, off, or out of budget.
 //   - For failing chains the package reports the conditional ratio
 //     estimate alongside the raw counts but attaches no guarantee to it —
 //     approximating the ratio is the paper's stated open problem.

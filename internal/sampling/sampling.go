@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -15,66 +14,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/repair"
 )
-
-// ErrWalkBudget is returned when a random walk exceeds the configured step
-// budget; by Proposition 2 repairing sequences are finite and polynomial,
-// so hitting this indicates a misconfigured budget rather than divergence.
-var ErrWalkBudget = errors.New("sampling: walk exceeded the step budget")
-
-// Walk performs one random walk down the repairing Markov chain from ε to
-// an absorbing state and returns the final state. maxSteps ≤ 0 means
-// unbounded (termination is guaranteed by Proposition 2).
-//
-// Generators that expose integer weights (markov.IntWeighter) step without
-// any big.Rat arithmetic; the sampled edges are identical to the exact
-// path's for the same seed. Other generators go through markov.Step.
-func Walk(inst *repair.Instance, g markov.Generator, rng *rand.Rand, maxSteps int) (*repair.State, error) {
-	iw, fast := g.(markov.IntWeighter)
-	s := inst.Root()
-	steps := 0
-	var ws []int64
-	for {
-		if fast {
-			exts := s.Extensions()
-			if len(exts) == 0 {
-				return s, nil
-			}
-			var ok bool
-			var err error
-			ws, ok, err = iw.IntWeights(s, exts, ws[:0])
-			if err != nil {
-				return nil, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
-			}
-			if ok {
-				if maxSteps > 0 && steps >= maxSteps {
-					return nil, ErrWalkBudget
-				}
-				s = s.ChildInPlace(exts[prob.PickInt(rng, ws)])
-				steps++
-				continue
-			}
-			fast = false // generator declined; use the exact path from here on
-		}
-		edges, err := markov.Step(g, s)
-		if err != nil {
-			return nil, err
-		}
-		if len(edges) == 0 {
-			return s, nil
-		}
-		if maxSteps > 0 && steps >= maxSteps {
-			return nil, ErrWalkBudget
-		}
-		weights := make([]*big.Rat, len(edges))
-		for i, e := range edges {
-			weights[i] = e.P
-		}
-		// The walk never revisits the parent, so ownership of the state's
-		// database can be transferred instead of cloned.
-		s = s.ChildInPlace(edges[prob.Pick(rng, weights)].Op)
-		steps++
-	}
-}
 
 // Sample is the algorithm of Section 5: it draws one repairing sequence s
 // from the chain and returns 1 if t̄ ∈ Q(s(D)) and the sequence is
@@ -257,6 +196,17 @@ func (a *answerer) forEach(s *repair.State, dead []bool, emit func(tuple []inter
 	a.lin.ForEachAnswer(dead, func(c int) { emit(a.lin.Candidates[c].Tuple) })
 }
 
+// appendAnswers appends the packed key and the names of every answer of
+// the query on s.Result() to keys and tuples.
+func (a *answerer) appendAnswers(s *repair.State, dead []bool, keys []string, tuples [][]string) ([]string, [][]string) {
+	var packBuf [64]byte
+	a.forEach(s, dead, func(tuple []intern.Sym) {
+		keys = append(keys, string(intern.PackSyms(packBuf[:0], tuple)))
+		tuples = append(tuples, intern.Names(tuple))
+	})
+	return keys, tuples
+}
+
 type walkTally struct {
 	success int
 	failing int
@@ -302,6 +252,7 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 			rng := rand.New(src)
 			var packBuf [64]byte
 			dead := ans.scratch()
+			st := e.stepper(ans, dead, false)
 			tally := func(tuple []intern.Sym) {
 				// Key by packed symbols — no name lookups, no string
 				// round trip; the key string and the names materialize
@@ -321,17 +272,28 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 				// draws the same n trajectories, and the merged tallies are
 				// sums, so runs are bit-identical for every Workers value.
 				src.ReseedAt(e.Seed, i)
-				s, err := Walk(e.Inst, e.Gen, rng, e.MaxSteps)
+				end, err := st.walk(rng)
 				if err != nil {
 					t.err = err
 					return
 				}
-				if !s.IsSuccessful() {
+				if !end.successful() {
 					t.failing++
 					continue
 				}
 				t.success++
-				ans.forEach(s, dead, tally)
+				if l := end.leaf; l != nil {
+					for j, k := range l.keys {
+						c := t.cells[k]
+						if c == nil {
+							c = &tallyCell{tuple: l.tuples[j]}
+							t.cells[k] = c
+						}
+						c.count++
+					}
+					continue
+				}
+				ans.forEach(end.s, dead, tally)
 			}
 		}(w, start, share)
 		start += share

@@ -1,15 +1,12 @@
 package sampling
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/markov"
 	"repro/internal/prob"
-	"repro/internal/repair"
 )
 
 // This file is the approximate path of the sequence-uniform semantics
@@ -32,7 +29,10 @@ import (
 //     is proportional to uniform(s)/proposal(s). Estimates are ratios of
 //     weighted sums; they converge but carry no finite-sample (ε,δ)
 //     guarantee (Run.Weighted = true, Run.ESS reports the Kish effective
-//     sample size).
+//     sample size). The proposal is the stepper of walk.go in uniform
+//     mode, so under TGDs it descends the worker's walk tree like the
+//     walk-induced estimator: the n walks of a run revisit few distinct
+//     prefixes, and each is derived once per worker.
 //
 // Determinism: walk i's RNG derives from (Seed, i) exactly as in the
 // walk-induced estimator, per-walk results are recorded in an indexed
@@ -82,28 +82,30 @@ func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 			defer wg.Done()
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
-			var packBuf [64]byte
 			dead := ans.scratch()
+			st := e.stepper(ans, dead, true)
 			for i := start; i < start+share; i++ {
 				src.ReseedAt(e.Seed, i)
 				d := &draws[i]
-				var s *repair.State
+				var end walkEnd
 				if sdag != nil {
-					s, d.err = sdag.Sample(rng)
+					end.s, d.err = sdag.Sample(rng)
 				} else {
-					s, d.logW, d.err = walkUniformSupport(e.Inst, e.Gen, rng, e.MaxSteps)
+					end, d.err = st.walk(rng)
+					d.logW = end.logW
 				}
 				if d.err != nil {
 					return
 				}
-				if !s.IsSuccessful() {
+				if !end.successful() {
 					continue
 				}
 				d.success = true
-				ans.forEach(s, dead, func(tuple []intern.Sym) {
-					d.keys = append(d.keys, string(intern.PackSyms(packBuf[:0], tuple)))
-					d.tuples = append(d.tuples, intern.Names(tuple))
-				})
+				if l := end.leaf; l != nil {
+					d.keys, d.tuples = l.keys, l.tuples
+					continue
+				}
+				d.keys, d.tuples = ans.appendAnswers(end.s, dead, nil, nil)
 			}
 		}(start, share)
 		start += share
@@ -171,67 +173,4 @@ func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 	}
 	sortEstimates(run.Estimates)
 	return run, nil
-}
-
-// walkUniformSupport performs one walk that, at every state, steps into a
-// uniformly chosen *support* edge of the generator (an extension with
-// positive probability) and accumulates the log importance weight
-// Σ log kᵢ, where kᵢ is the support size at step i. Under this proposal a
-// complete sequence s has probability exp(−logW), so exp(logW) ∝
-// uniform(s)/proposal(s) — exactly the SNIS weight runUniform needs.
-// Generators exposing integer weights resolve the support without big.Rat
-// arithmetic; others go through markov.Step.
-func walkUniformSupport(inst *repair.Instance, g markov.Generator, rng *rand.Rand, maxSteps int) (*repair.State, float64, error) {
-	iw, fast := g.(markov.IntWeighter)
-	s := inst.Root()
-	logW := 0.0
-	steps := 0
-	var support []int
-	var ws []int64
-	for {
-		if fast {
-			exts := s.Extensions()
-			if len(exts) == 0 {
-				return s, logW, nil
-			}
-			var ok bool
-			var err error
-			ws, ok, err = iw.IntWeights(s, exts, ws[:0])
-			if err != nil {
-				return nil, 0, fmt.Errorf("generator %s at state %q: %w", g.Name(), s, err)
-			}
-			if ok {
-				if maxSteps > 0 && steps >= maxSteps {
-					return nil, 0, ErrWalkBudget
-				}
-				support = support[:0]
-				for i, w := range ws {
-					if w > 0 {
-						support = append(support, i)
-					}
-				}
-				if len(support) == 0 {
-					return nil, 0, fmt.Errorf("generator %s at state %q: empty support", g.Name(), s)
-				}
-				logW += math.Log(float64(len(support)))
-				s = s.ChildInPlace(exts[support[rng.Intn(len(support))]])
-				steps++
-				continue
-			}
-			fast = false
-		}
-		edges, err := markov.Step(g, s)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(edges) == 0 {
-			return s, logW, nil
-		}
-		if maxSteps > 0 && steps >= maxSteps {
-			return nil, 0, ErrWalkBudget
-		}
-		logW += math.Log(float64(len(edges)))
-		s = s.ChildInPlace(edges[rng.Intn(len(edges))].Op)
-		steps++
-	}
 }

@@ -186,10 +186,13 @@ func TestUniformEstimatorMatchesWalkModeOnSymmetric(t *testing.T) {
 
 // TestWalksLeaveRootCachesUntouched: walks step in place, and their first
 // step starts from the instance's shared root caches (the root violation
-// set and extension list). After a 4-worker walk-mode run and a
-// count-guided uniform run on the same instance, the root must still
+// set and extension list). After a 4-worker walk-mode run and a uniform
+// run on the same instance — count-guided on the TGD-free instances, the
+// SNIS fallback over per-worker walk trees, whose misses replay their
+// path from a fresh root, on the inclusion instance — the root must still
 // report exactly the initial violations and extensions.
 func TestWalksLeaveRootCachesUntouched(t *testing.T) {
+	x, y := logic.Var("x"), logic.Var("y")
 	for _, tc := range []struct {
 		name string
 		inst *repair.Instance
@@ -197,6 +200,8 @@ func TestWalksLeaveRootCachesUntouched(t *testing.T) {
 	}{
 		{"keys", repair.MustInstance(workload.KeyViolations(workload.KeyConfig{Keys: 10, Violations: 6, Seed: 1})), keysUniformQuery()},
 		{"chain", repair.MustInstance(workload.Chain(workload.ChainConfig{Facts: 9})), edgeQuery()},
+		{"inclusion", repair.MustInstance(workload.Inclusion(workload.InclusionConfig{Rows: 4, MissingRate: 0.5, Seed: 1})),
+			fo.MustQuery("Q", []logic.Term{x, y}, fo.Atom{A: logic.NewAtom("R", x, y)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snapshot := func() (vios, exts []string) {
