@@ -16,6 +16,7 @@
 //	BenchmarkChainStep          — ablation: one chain transition
 //	BenchmarkHomomorphism/*     — substrate: join search
 //	BenchmarkFOEval/*           — substrate: CQ fast path vs generic eval
+//	BenchmarkServeIngestScale/* — resident server: one publication vs database size
 package repro
 
 import (
@@ -642,8 +643,8 @@ func BenchmarkFactored(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(fac.Components) != 300 {
-					b.Fatalf("components = %d", len(fac.Components))
+				if fac.Partition().Len() != 300 {
+					b.Fatalf("components = %d", fac.Partition().Len())
 				}
 			}
 		})
@@ -970,4 +971,46 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ingests/sec")
 		b.ReportMetric(float64(st.CumOps)/float64(st.Version), "ops/publish")
 	})
+}
+
+// BenchmarkServeIngestScale measures one single-op publication against the
+// size of the resident database: the islands workload at 400, 4,000 and
+// 40,000 four-fact islands, every operation a toggle of one island's middle
+// edge (an insertion merges the island's halves, a deletion splits it), one
+// Ingest per operation on one worker. A publication touches one island, so
+// ns/op and B/op should stay flat as the island count grows; a term that
+// scales with the database shows up here first.
+func BenchmarkServeIngestScale(b *testing.B) {
+	for _, islands := range []int{400, 4000, 40000} {
+		b.Run(fmt.Sprintf("islands=%d", islands), func(b *testing.B) {
+			d, sigma, ops := workload.ServeMix(workload.ServeMixConfig{
+				Islands:        islands,
+				FactsPerIsland: 4,
+				IsoRatio:       0.9,
+				Ops:            4096,
+				IngestRatio:    1,
+				Seed:           42,
+			})
+			s, err := serve.New(d, sigma, generators.Uniform{}, serve.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			// The stream's own insert/delete flags hold for one pass; the
+			// presence map keeps every op effective when b.N wraps it.
+			present := map[relation.Fact]bool{}
+			for _, op := range ops {
+				present[op.Fact] = d.Contains(op.Fact)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := ops[i%len(ops)].Fact
+				present[f] = !present[f]
+				if _, err := s.Ingest([]serve.Op{{Fact: f, Insert: present[f]}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

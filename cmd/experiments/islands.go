@@ -53,7 +53,7 @@ func init() {
 		elapsed := time.Since(start)
 		hits, misses := fac.CacheHits, fac.CacheMisses
 		fmt.Printf("  factored semantics in %s: %d components, %d untouched facts\n",
-			elapsed.Round(time.Millisecond), len(fac.Components), fac.Untouched.Size())
+			elapsed.Round(time.Millisecond), fac.Partition().Len(), fac.Untouched.Size())
 		fmt.Printf("  structural cache: %d explorations, %d renamings (hit ratio %.4f)\n",
 			misses, hits, float64(hits)/float64(hits+misses))
 		fmt.Printf("  distinct repairs: ~10^%d (exact product of per-island repair counts)\n",

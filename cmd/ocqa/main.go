@@ -152,7 +152,7 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 			return err
 		}
 		fmt.Printf("factored chain: %d conflict components, %d untouched facts; %s distinct repairs\n",
-			len(fac.Components), fac.Untouched.Size(), fac.NumRepairs())
+			fac.Partition().Len(), fac.Untouched.Size(), fac.NumRepairs())
 		if fac.CacheHits+fac.CacheMisses > 0 {
 			fmt.Printf("structural cache: %d explorations, %d components served by renaming\n",
 				fac.CacheMisses, fac.CacheHits)

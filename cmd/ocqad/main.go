@@ -10,8 +10,7 @@
 //	ocqad -db data.facts -constraints schema.rules \
 //	      [-gen uniform|uniform-deletions|preference|trust[:seed]] \
 //	      [-addr :8080] [-workers 4] [-max-states 1000000] \
-//	      [-eps 0.05] [-delta 0.05] [-seed 1] [-compact 4096] \
-//	      [-log ocqad.oplog]
+//	      [-eps 0.05] [-delta 0.05] [-seed 1] [-log ocqad.oplog]
 //
 // File arguments also accept "inline:<text>". The generator must be local
 // (per-component weights) and the constraints TGD-free — the factored
@@ -63,19 +62,17 @@ func main() {
 		eps       = flag.Float64("eps", 0.05, "additive error ε of the degradation estimator")
 		delta     = flag.Float64("delta", 0.05, "failure probability δ of the degradation estimator")
 		seed      = flag.Int64("seed", 1, "degradation estimator seed")
-		compact   = flag.Int("compact", 4096, "copy-on-write delta size that triggers a snapshot fold")
 		logPath   = flag.String("log", "", "append-only ingest log, replayed on startup (empty = no persistence)")
 		smoke     = flag.Int("smoke", 0, "run a self-test with N mixed operations instead of serving")
 	)
 	flag.Parse()
 	opts := serve.Options{
-		Workers:      *workers,
-		MaxStates:    *maxStates,
-		Eps:          *eps,
-		Delta:        *delta,
-		Seed:         *seed,
-		CompactLimit: *compact,
-		LogPath:      *logPath,
+		Workers:   *workers,
+		MaxStates: *maxStates,
+		Eps:       *eps,
+		Delta:     *delta,
+		Seed:      *seed,
+		LogPath:   *logPath,
 	}
 	if *smoke > 0 {
 		if err := runSmoke(*smoke, opts); err != nil {

@@ -54,12 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("factored semantics computed in %s:\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  components: %d, untouched facts: %d\n", len(fac.Components), fac.Untouched.Size())
+	fmt.Printf("  components: %d, untouched facts: %d\n", fac.Partition().Len(), fac.Untouched.Size())
 	fmt.Printf("  total distinct repairs: %s\n\n", fac.NumRepairs())
 
 	// Exact per-fact marginals at full scale.
 	var conflicted relation.Fact
-	for _, c := range fac.Components {
+	for _, c := range fac.Components() {
 		conflicted = c.Facts[0]
 		break
 	}

@@ -260,8 +260,8 @@ func TestEndToEndIslandsAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fac.Components) != cfg.Islands {
-		t.Fatalf("components = %d, want %d", len(fac.Components), cfg.Islands)
+	if fac.Partition().Len() != cfg.Islands {
+		t.Fatalf("components = %d, want %d", fac.Partition().Len(), cfg.Islands)
 	}
 	// Every island, canonical or shuffled, is a directed 10-edge path, so
 	// all of them share one canonical cache key: a single exploration.

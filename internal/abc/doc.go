@@ -12,12 +12,19 @@
 //     cardinality-minimal, and superset repairs.
 //   - conflict.go: the conflict-graph machinery the enumeration branches
 //     on.
-//   - partition.go: the resident form of the conflict components — a
-//     persistent Partition with a layered fact→island index whose Update
-//     re-partitions only the region touched by a violation delta, sharing
-//     every unaffected Island (payload and all) with its predecessor.
-//     This is engine machinery, not baseline: internal/core's factored
-//     semantics and internal/serve's resident server are built on it.
+//   - partition.go, trie.go: the resident form of the conflict
+//     components — a persistent Partition whose islands hold the
+//     violations that induce them (a resident server keeps no other
+//     violation store) and whose fact→island index is a path-copying trie
+//     keyed by the interned fact id. Update re-partitions only the region
+//     touched by a violation delta, copies only the trie nodes on the
+//     touched facts' paths, and shares every unaffected Island (payload
+//     and all) and trie node with its predecessor, so an older partition
+//     keeps answering as it did. The island and violation counts are
+//     maintained; the smallest-fact order of all islands (Islands,
+//     Components, Violations) is built lazily, once per partition. This is
+//     engine machinery, not baseline: internal/core's factored semantics
+//     and internal/serve's resident server are built on it.
 //
 // # Invariants
 //

@@ -1,7 +1,9 @@
 package abc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"repro/internal/constraint"
 	"repro/internal/relation"
@@ -23,11 +25,20 @@ import (
 // verbatim. The affected region (components containing a touched fact) is
 // re-union-found in isolation over its surviving violations plus the
 // introduced ones.
+//
+// A partition is persistent and sized by its churn: the violations live in
+// the islands (there is no flat set beside them), the fact→island index is
+// a path-copying trie (trie.go) that an Update copies only along the
+// touched facts' paths, and the island count and violation count are
+// maintained rather than recounted. The smallest-fact order of all islands
+// is the one O(islands) view, and it is built lazily, once per partition,
+// for the callers that list every island.
 
 // Island is one connected component of the conflict hypergraph, resident
 // across updates. Islands are immutable once published by NewPartition or
 // Update: an update that touches an island replaces it rather than mutating
-// it, so partitions from successive updates share unaffected islands.
+// it, so partitions from successive updates share unaffected islands. An
+// island's violations are kept ID-sorted.
 type Island struct {
 	// Facts are the island's facts, sorted; islands partition the conflict
 	// facts, so each fact belongs to exactly one island.
@@ -48,45 +59,42 @@ type Island struct {
 // shared and must not be modified.
 func (isl *Island) Violations() []constraint.Violation { return isl.vios }
 
-// factLayer is one layer of the partition's persistent fact→island index: a
-// small overlay map over an immutable parent chain. A nil island value is a
-// tombstone (the fact left the conflict region). Layers are immutable once
-// published; Update pushes an overlay sized by the affected region, and the
-// chain is folded into a single base map when it grows past maxIndexDepth,
-// keeping lookups bounded and the amortized per-update cost proportional to
-// the region.
-type factLayer struct {
-	m      map[uint32]*Island
-	parent *factLayer
-	depth  int
-}
-
-const maxIndexDepth = 16
-
-func (l *factLayer) lookup(id uint32) *Island {
-	for ; l != nil; l = l.parent {
-		if isl, ok := l.m[id]; ok {
-			return isl
-		}
-	}
-	return nil
-}
-
 // Partition is the component partition of the conflict hypergraph, designed
-// for residency: IslandOf answers fact→island in O(index depth) map probes,
-// and Update re-partitions only the components touched by a violation-set
-// delta, returning the next partition without invalidating this one.
-// Partitions are immutable; successive Updates share unaffected islands and
-// index layers, so long-lived readers of an old partition stay consistent.
+// for residency: it is the one store of the violations it was built from
+// (each island holds its own), IslandOf answers fact→island in a fixed
+// number of array steps on a persistent trie, and Update re-partitions only
+// the components touched by a violation-set delta, returning the next
+// partition without invalidating this one. Partitions are immutable;
+// successive Updates share unaffected islands and trie nodes, so long-lived
+// readers of an old partition stay consistent. Nothing in an Update is
+// proportional to the number of islands: the smallest-fact order of
+// Islands is computed on first use, once per partition.
 type Partition struct {
-	islands []*Island
-	idx     *factLayer
+	idx        factTrie
+	islands    int
+	violations int
+
+	orderOnce sync.Once
+	order     []*Island
 }
 
 // NewPartition builds the partition of V(D,Σ) from scratch. The islands
 // are the components of ConflictGraph.Components over the same violation
 // set, in the same deterministic order (sorted by smallest fact).
 func NewPartition(vs *constraint.Violations) *Partition {
+	islands := componentsOf(vs.ByID())
+	p := &Partition{idx: newFactTrie().with(indexEntries(nil, islands)), islands: len(islands), order: islands}
+	for _, isl := range islands {
+		p.violations += len(isl.vios)
+	}
+	return p
+}
+
+// componentsOf groups ID-sorted violations into islands by union-find over
+// their body facts: each island's facts sorted, its violations ID-sorted
+// (every violation's body is connected, so it lands in the island of its
+// first body fact), and the islands ordered by smallest fact.
+func componentsOf(vios []constraint.Violation) []*Island {
 	idx := map[relation.Fact]int32{}
 	var facts []relation.Fact
 	var parent []int32
@@ -107,36 +115,18 @@ func NewPartition(vs *constraint.Violations) *Partition {
 		parent = append(parent, i)
 		return i
 	}
-	all := vs.ByID()
-	for _, v := range all {
+	for _, v := range vios {
 		body := v.BodyFacts()
 		if len(body) == 0 {
 			continue
 		}
 		ra := find(indexOf(body[0]))
 		for _, f := range body[1:] {
-			rb := find(indexOf(f))
-			if ra != rb {
+			if rb := find(indexOf(f)); ra != rb {
 				parent[rb] = ra
 			}
 		}
 	}
-	islands := islandsFromUnionFind(facts, parent, find, idx, all)
-	base := make(map[uint32]*Island, len(facts))
-	for _, isl := range islands {
-		for _, f := range isl.Facts {
-			base[f.ID()] = isl
-		}
-	}
-	return &Partition{islands: islands, idx: &factLayer{m: base}}
-}
-
-// islandsFromUnionFind groups the facts by union-find root into islands
-// (each sorted, islands ordered by smallest fact) and distributes the
-// violations: every violation's body is connected, so it lands in the
-// island of its first body fact. idx is the caller's fact→union-find-slot
-// map, shared so it is not rebuilt here.
-func islandsFromUnionFind(facts []relation.Fact, parent []int32, find func(int32) int32, idx map[relation.Fact]int32, vios []constraint.Violation) []*Island {
 	// Roots are indices into the parent array, so a flat slice replaces a
 	// root→island map on this hot path.
 	byRoot := make([]*Island, len(facts))
@@ -154,32 +144,75 @@ func islandsFromUnionFind(facts []relation.Fact, parent []int32, find func(int32
 	for _, isl := range order {
 		relation.SortFacts(isl.Facts)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return relation.CompareFacts(order[i].Facts[0], order[j].Facts[0]) < 0
-	})
+	sortIslands(order)
 	for _, v := range vios {
-		body := v.BodyFacts()
-		if len(body) == 0 {
-			continue
+		if body := v.BodyFacts(); len(body) > 0 {
+			isl := byRoot[find(idx[body[0]])]
+			isl.vios = append(isl.vios, v)
 		}
-		isl := byRoot[find(idx[body[0]])]
-		isl.vios = append(isl.vios, v)
 	}
 	return order
 }
 
+// sortIslands orders islands by smallest fact.
+func sortIslands(islands []*Island) {
+	slices.SortFunc(islands, func(a, b *Island) int { return relation.CompareFacts(a.Facts[0], b.Facts[0]) })
+}
+
+// indexEntries appends a trie entry mapping every fact of the islands to
+// its island.
+func indexEntries(es []trieEntry, islands []*Island) []trieEntry {
+	for _, isl := range islands {
+		for _, f := range isl.Facts {
+			es = append(es, trieEntry{f.ID(), isl})
+		}
+	}
+	return es
+}
+
 // Islands returns the islands ordered by smallest fact; the slice is shared
-// and must not be modified.
-func (p *Partition) Islands() []*Island { return p.islands }
+// and must not be modified. A partition made by Update sorts its islands on
+// the first call — O(islands log islands), once — so only callers that list
+// every island pay for the order. Safe for concurrent readers.
+func (p *Partition) Islands() []*Island {
+	p.orderOnce.Do(func() {
+		if p.order != nil || p.islands == 0 {
+			return
+		}
+		order := make([]*Island, 0, p.islands)
+		p.idx.forEach(func(id uint32, isl *Island) {
+			if isl.Facts[0].ID() == id {
+				order = append(order, isl)
+			}
+		})
+		sortIslands(order)
+		p.order = order
+	})
+	return p.order
+}
 
 // Len reports the number of islands.
-func (p *Partition) Len() int { return len(p.islands) }
+func (p *Partition) Len() int { return p.islands }
+
+// NumViolations reports the number of violations the islands hold.
+func (p *Partition) NumViolations() int { return p.violations }
+
+// Violations returns the violations of every island as one ID-sorted set,
+// built on each call: for tests and diagnostics, not for the write path.
+func (p *Partition) Violations() *constraint.Violations {
+	all := make([]constraint.Violation, 0, p.violations)
+	for _, isl := range p.Islands() {
+		all = append(all, isl.vios...)
+	}
+	return constraint.ViolationsOf(all)
+}
 
 // Components returns the islands as bare fact sets, matching
 // ConflictGraph.Components.
 func (p *Partition) Components() [][]relation.Fact {
-	out := make([][]relation.Fact, len(p.islands))
-	for i, isl := range p.islands {
+	islands := p.Islands()
+	out := make([][]relation.Fact, len(islands))
+	for i, isl := range islands {
 		out[i] = isl.Facts
 	}
 	return out
@@ -188,30 +221,28 @@ func (p *Partition) Components() [][]relation.Fact {
 // IslandOf returns the island containing the fact, or nil when the fact is
 // in no violation. Safe for concurrent readers.
 func (p *Partition) IslandOf(f relation.Fact) *Island {
-	return p.idx.lookup(f.ID())
+	return p.idx.get(f.ID())
 }
 
 // Update derives the partition after a violation-set transition: eliminated
-// and introduced are the delta reported by constraint.UpdateViolationsDelta
-// for an update that changed the given facts, applied to the database this
-// partition was built from. It re-partitions only the affected region and
-// returns the next partition plus the island churn: fresh lists the islands
-// created by this update (their Payload is nil) and removed the islands of
-// p that dissolved, both ordered by smallest fact. Islands outside the
-// region are shared by pointer — Payload and all — and p itself remains
-// valid. When the delta leaves the partition untouched (clean inserts or
-// deletes), Update returns p with no churn.
+// and introduced are the violations an update that changed the given facts
+// removed from and added to the violation set this partition holds (as
+// constraint.UpdateViolationsDelta reports them, say). It re-partitions
+// only the affected region and returns the next partition plus the island
+// churn: fresh lists the islands created by this update (their Payload is
+// nil) and removed the islands of p that dissolved, both ordered by
+// smallest fact. Islands outside the region are shared by pointer —
+// Payload and all — and p itself remains valid. When the delta leaves the
+// partition untouched (clean inserts or deletes), Update returns p with no
+// churn. The cost is proportional to the region, not to the partition.
 func (p *Partition) Update(eliminated, introduced []constraint.Violation, changed []relation.Fact) (next *Partition, fresh, removed []*Island) {
 	touched := constraint.TouchedFacts(changed, eliminated, introduced)
-	seenIsl := map[*Island]bool{}
-	var affected []*Island
 	for _, f := range touched {
-		if isl := p.IslandOf(f); isl != nil && !seenIsl[isl] {
-			seenIsl[isl] = true
-			affected = append(affected, isl)
+		if isl := p.IslandOf(f); isl != nil && !slices.Contains(removed, isl) {
+			removed = append(removed, isl)
 		}
 	}
-	if len(affected) == 0 && len(introduced) == 0 {
+	if len(removed) == 0 && len(introduced) == 0 {
 		return p, nil, nil
 	}
 
@@ -222,101 +253,34 @@ func (p *Partition) Update(eliminated, introduced []constraint.Violation, change
 	for _, v := range eliminated {
 		elim[v.ID()] = true
 	}
-	seenV := map[uint64]bool{}
 	var region []constraint.Violation
-	for _, isl := range affected {
+	for _, isl := range removed {
 		for _, v := range isl.vios {
-			if id := v.ID(); !elim[id] && !seenV[id] {
-				seenV[id] = true
+			if !elim[v.ID()] {
 				region = append(region, v)
 			}
 		}
 	}
-	for _, v := range introduced {
-		if id := v.ID(); !seenV[id] {
-			seenV[id] = true
-			region = append(region, v)
-		}
-	}
+	region = append(region, introduced...)
+	slices.SortFunc(region, func(a, b constraint.Violation) int { return cmp.Compare(a.ID(), b.ID()) })
+	region = slices.CompactFunc(region, func(a, b constraint.Violation) bool { return a.ID() == b.ID() })
 
-	// Re-union-find the region in isolation.
-	idx := map[relation.Fact]int32{}
-	var facts []relation.Fact
-	var parent []int32
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	indexOf := func(f relation.Fact) int32 {
-		if i, ok := idx[f]; ok {
-			return i
-		}
-		i := int32(len(facts))
-		idx[f] = i
-		facts = append(facts, f)
-		parent = append(parent, i)
-		return i
-	}
-	for _, v := range region {
-		body := v.BodyFacts()
-		if len(body) == 0 {
-			continue
-		}
-		ra := find(indexOf(body[0]))
-		for _, f := range body[1:] {
-			rb := find(indexOf(f))
-			if ra != rb {
-				parent[rb] = ra
-			}
-		}
-	}
-	fresh = islandsFromUnionFind(facts, parent, find, idx, region)
-
-	removed = affected
-	sort.Slice(removed, func(i, j int) bool {
-		return relation.CompareFacts(removed[i].Facts[0], removed[j].Facts[0]) < 0
-	})
-
-	// Merge: p.islands minus removed is sorted, fresh is sorted, and islands
-	// are disjoint fact sets, so a linear merge keeps smallest-fact order.
-	merged := make([]*Island, 0, len(p.islands)-len(removed)+len(fresh))
-	fi := 0
-	for _, isl := range p.islands {
-		if seenIsl[isl] {
-			continue
-		}
-		for fi < len(fresh) && relation.CompareFacts(fresh[fi].Facts[0], isl.Facts[0]) < 0 {
-			merged = append(merged, fresh[fi])
-			fi++
-		}
-		merged = append(merged, isl)
-	}
-	merged = append(merged, fresh[fi:]...)
-
-	overlay := make(map[uint32]*Island)
+	// Re-union-find the region in isolation, then point its old facts at
+	// nothing and its new ones at their fresh islands in one path-copying
+	// pass (for an id in both, the later entry wins).
+	fresh = componentsOf(region)
+	sortIslands(removed)
+	next = &Partition{islands: p.islands - len(removed) + len(fresh), violations: p.violations}
+	var es []trieEntry
 	for _, isl := range removed {
+		next.violations -= len(isl.vios)
 		for _, f := range isl.Facts {
-			overlay[f.ID()] = nil
+			es = append(es, trieEntry{f.ID(), nil})
 		}
 	}
 	for _, isl := range fresh {
-		for _, f := range isl.Facts {
-			overlay[f.ID()] = isl
-		}
+		next.violations += len(isl.vios)
 	}
-	layer := &factLayer{m: overlay, parent: p.idx, depth: p.idx.depth + 1}
-	next = &Partition{islands: merged, idx: layer}
-	if layer.depth > maxIndexDepth {
-		base := make(map[uint32]*Island)
-		for _, isl := range merged {
-			for _, f := range isl.Facts {
-				base[f.ID()] = isl
-			}
-		}
-		next.idx = &factLayer{m: base}
-	}
+	next.idx = p.idx.with(indexEntries(es, fresh))
 	return next, fresh, removed
 }

@@ -3,6 +3,7 @@ package abc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,8 +81,7 @@ func TestNewPartitionMatchesConflictGraph(t *testing.T) {
 // TestPartitionUpdateMatchesRebuild: a chain of random single-fact updates,
 // each maintained incrementally via UpdateViolationsDelta + Update, always
 // matches the from-scratch partition of the current database — islands,
-// order, violations, and the fact index (exercised far past the index-fold
-// depth). Along the way every returned fresh island must carry a nil
+// order, violations, and the fact index. Along the way every returned fresh island must carry a nil
 // Payload and every island outside the churn must be shared by pointer.
 func TestPartitionUpdateMatchesRebuild(t *testing.T) {
 	set := partitionSet(t)
@@ -94,7 +94,7 @@ func TestPartitionUpdateMatchesRebuild(t *testing.T) {
 			isl.Payload = isl // mark: pre-existing island
 		}
 		dom := []string{"a", "b", "c", "d", "e"}
-		steps := 30 + rng.Intn(20) // depth 30+ crosses maxIndexDepth folds
+		steps := 30 + rng.Intn(20)
 		for s := 0; s < steps; s++ {
 			var f relation.Fact
 			if rng.Intn(2) == 0 {
@@ -206,4 +206,101 @@ func TestPartitionUpdateNoChurnSharing(t *testing.T) {
 	if next != p || fresh != nil || removed != nil {
 		t.Fatalf("clean insert churned the partition: fresh=%v removed=%v", fresh, removed)
 	}
+}
+
+// partitionView is everything a reader can observe of a partition over a
+// fixed fact universe, captured as values so a later update that mutated
+// shared structure would show up as a difference.
+type partitionView struct {
+	Len, NumViolations int
+	Islands            [][]relation.Fact
+	Violations         [][]uint64
+	IslandOf           [][]relation.Fact // per universe fact; nil when in no island
+}
+
+func viewOf(p *Partition, universe []relation.Fact) partitionView {
+	v := partitionView{Len: p.Len(), NumViolations: p.NumViolations()}
+	for _, isl := range p.Islands() {
+		v.Islands = append(v.Islands, slices.Clone(isl.Facts))
+		var ids []uint64
+		for _, x := range isl.Violations() {
+			ids = append(ids, x.ID())
+		}
+		v.Violations = append(v.Violations, ids)
+	}
+	for _, f := range universe {
+		var facts []relation.Fact
+		if isl := p.IslandOf(f); isl != nil {
+			facts = slices.Clone(isl.Facts)
+		}
+		v.IslandOf = append(v.IslandOf, facts)
+	}
+	return v
+}
+
+// FuzzPartitionUpdate drives a partition through random insert/delete
+// toggles the way the resident server does — an insertion's violations
+// from the semi-naive search, a deletion's from its fact's island — and
+// checks after every update that the partition observes exactly like a
+// from-scratch NewPartition of the current database (island order and
+// facts, each island's ID-sorted violations, the counts, and IslandOf over
+// every fact of the universe), and that every earlier partition in the
+// lineage still observes exactly as it did when it was made: readers
+// holding an old snapshot are isolated from later updates.
+func FuzzPartitionUpdate(f *testing.F) {
+	f.Add([]byte{0x00, 0x11, 0x21, 0x12, 0x00})
+	f.Add([]byte{0x13, 0x35, 0x57, 0x79, 0x9b, 0x13, 0x57})
+	f.Add([]byte{0x02, 0x24, 0x46, 0x68, 0x8a, 0xac, 0x24, 0x68, 0x02})
+	set := constraint.NewSet(
+		constraint.MustEGD([]logic.Atom{logic.NewAtom("R", logic.Var("x"), logic.Var("y")), logic.NewAtom("R", logic.Var("x"), logic.Var("z"))}, logic.Var("y"), logic.Var("z")),
+		constraint.MustDC([]logic.Atom{logic.NewAtom("E", logic.Var("x"), logic.Var("y")), logic.NewAtom("E", logic.Var("y"), logic.Var("z"))}),
+	)
+	dom := []string{"a", "b", "c", "d", "e"}
+	var universe []relation.Fact
+	for _, pred := range []string{"R", "E"} {
+		for _, x := range dom {
+			for _, y := range dom {
+				universe = append(universe, relation.NewFact(pred, x, y))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		d := relation.NewDatabase()
+		p := NewPartition(constraint.FindViolations(d, set))
+		type published struct {
+			p    *Partition
+			view partitionView
+		}
+		lineage := []published{{p, viewOf(p, universe)}}
+		for step, b := range ops {
+			fact := universe[int(b)%len(universe)]
+			insert := !d.Contains(fact)
+			changed := []relation.Fact{fact}
+			var elim, intro []constraint.Violation
+			if insert {
+				d.Insert(fact)
+				intro = constraint.IntroducedViolations(d, set, nil, changed, true)
+			} else {
+				d.Delete(fact)
+				if isl := p.IslandOf(fact); isl != nil {
+					elim = constraint.EliminatedBy(isl.Violations(), changed, nil)
+				}
+			}
+			p, _, _ = p.Update(elim, intro, changed)
+
+			want := viewOf(NewPartition(constraint.FindViolations(d, set)), universe)
+			if got := viewOf(p, universe); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (%s insert=%v): incremental partition\n  %+v\nrebuild\n  %+v", step, fact, insert, got, want)
+			}
+			lineage = append(lineage, published{p, want})
+			for i, old := range lineage {
+				if got := viewOf(old.p, universe); !reflect.DeepEqual(got, old.view) {
+					t.Fatalf("step %d: partition %d of the lineage changed after publication", step, i)
+				}
+			}
+		}
+	})
 }

@@ -210,7 +210,8 @@ func TouchedFacts(changed []relation.Fact, eliminated, introduced []Violation) [
 // candidate operation is inadmissible iff it reintroduces an eliminated
 // violation, and eliminated violations are disjoint from the current set,
 // so only genuinely new violations matter. For EGD/DC deletions the answer
-// is always empty without any search.
+// is always empty without any search. before is read only for TGDs, so a
+// TGD-free caller that keeps no flat violation set may pass nil.
 func IntroducedViolations(dNew *relation.Database, s *Set, before *Violations, changed []relation.Fact, insert bool) []Violation {
 	var predsBuf [4]intern.Sym
 	cs := newChangeSet(changed, predsBuf[:0])
@@ -293,21 +294,35 @@ func copyConstraintViolations(dst *Violations, src *Violations, c *Constraint) {
 // vs's own storage from the current end on (DeleteFacts filters in place
 // that way). Survivors are copied as the bulk runs between eliminations,
 // so the sortedness check of appendRun is paid once per eliminated
-// violation.
+// violation. vs may be nil, which keeps no survivors (EliminatedBy).
 func (vs *Violations) appendUndeleted(run []Violation, deleted []relation.Fact, gone []Violation) []Violation {
 	start := 0
 	for i, v := range run {
 		for _, f := range deleted {
 			if v.bodyHasFact(f) {
-				vs.appendRun(run[start:i])
+				if vs != nil {
+					vs.appendRun(run[start:i])
+				}
 				gone = append(gone, v)
 				start = i + 1
 				break
 			}
 		}
 	}
-	vs.appendRun(run[start:])
+	if vs != nil {
+		vs.appendRun(run[start:])
+	}
 	return gone
+}
+
+// EliminatedBy applies the EGD/DC deletion rule of appendUndeleted to a
+// run of violations without keeping the survivors: it appends to gone the
+// violations of run whose body holds one of the deleted facts and returns
+// it. A caller that stores violations per conflict island passes the runs
+// of the deleted facts' islands, since no other violation can lose a body
+// fact.
+func EliminatedBy(run []Violation, deleted []relation.Fact, gone []Violation) []Violation {
+	return (*Violations)(nil).appendUndeleted(run, deleted, gone)
 }
 
 // DeleteFacts updates vs in place to the violation set left once the given

@@ -52,8 +52,10 @@
 //     equal keys always mean isomorphic components.
 //     ComputeFactored is the from-scratch form of ComputeFactoredDelta,
 //     the one factored build: it carries the components a delta left
-//     untouched and explores the rest (build.go); internal/serve calls it
-//     once per publication. Factored.CP/OCA answer atomic queries from
+//     untouched and explores the fresh islands it is handed (build.go);
+//     internal/serve calls it once per publication. A component lives as
+//     its abc.Island's payload, so Factored.Components, the one
+//     O(components) view, is assembled lazily from the partition. Factored.CP/OCA answer atomic queries from
 //     fact marginals and conjunctive queries from witness lineage groups:
 //     the components one candidate's witnesses link form a group, groups
 //     are independent, and each enumerates only its own components'

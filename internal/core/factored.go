@@ -217,9 +217,10 @@ type Factored struct {
 	// Untouched holds the facts in no violation; they survive every
 	// deletion-only repair.
 	Untouched *relation.Database
-	// Components lists the conflict components in deterministic order
-	// (sorted by smallest fact), aligned with Partition().Islands().
-	Components []*Component
+
+	compOnce   sync.Once
+	components []*Component
+
 	// CacheHits and CacheMisses count the structural-cache outcomes among
 	// the components this call explored: misses are the distinct canonical
 	// component shapes explored for the first time (in this call, for a
@@ -232,13 +233,30 @@ type Factored struct {
 	// Factored by ComputeFactoredDelta — their conflict component was not
 	// touched by the delta, so the resident semantics is reused without any
 	// cache traffic. Zero for from-scratch builds; when the structural cache
-	// applies, Reused + CacheHits + CacheMisses == len(Components).
+	// applies, Reused + CacheHits + CacheMisses == Partition().Len().
 	Reused int
 }
 
 // Partition returns the resident conflict partition the semantics is
-// aligned with; Components[i] covers Partition().Islands()[i].
+// aligned with; Components()[i] covers Partition().Islands()[i].
 func (f *Factored) Partition() *abc.Partition { return f.part }
+
+// Components lists the conflict components in deterministic order (sorted
+// by smallest fact), aligned with Partition().Islands(). The list is
+// assembled from the islands' payloads on the first call — the one
+// O(components) view of a Factored, which a resident server's
+// publications never build — and shared afterwards; it must not be
+// modified. Safe for concurrent readers.
+func (f *Factored) Components() []*Component {
+	f.compOnce.Do(func() {
+		islands := f.part.Islands()
+		f.components = make([]*Component, len(islands))
+		for i, isl := range islands {
+			f.components[i] = isl.Payload.(*Component)
+		}
+	})
+	return f.components
+}
 
 // SemanticsCache is a persistent structural semantics cache: canonical
 // component shapes mapped to their explored local semantics. A zero of it
@@ -331,11 +349,15 @@ type FactoredDelta struct {
 	// Part is the post-delta conflict partition, derived from Prev's by
 	// abc.Partition.Update along the applied operations. Islands carried
 	// from Prev's partition hold their Component as Payload and are reused
-	// verbatim; islands with a nil Payload are explored. The partition must
-	// come from the same lineage as Prev — and from builds with the same
-	// generator and exploration options — or the reused semantics would be
-	// silently wrong.
+	// verbatim. The partition must come from the same lineage as Prev —
+	// and from builds with the same generator and exploration options — or
+	// the reused semantics would be silently wrong.
 	Part *abc.Partition
+	// Fresh lists the islands of Part with no Payload, the ones the build
+	// explores, ordered by smallest fact; every other island of Part must
+	// carry its Component. Ignored when Prev is nil: a from-scratch build
+	// explores every island.
+	Fresh []*abc.Island
 	// Removed accumulates the islands dissolved by the Updates between
 	// Prev's partition and Part; their facts return to the untouched core
 	// when they are still present and conflict-free.
@@ -380,21 +402,10 @@ func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalG
 	}
 
 	part := d.Part
-	islands := part.Islands()
-	components := make([]*Component, len(islands))
-	var fresh []int
-	reused := 0
-	for i, isl := range islands {
-		if comp, ok := isl.Payload.(*Component); ok && d.Prev != nil {
-			components[i] = comp
-			reused++
-		} else {
-			fresh = append(fresh, i)
-		}
-	}
-
+	fresh := d.Fresh
 	var untouched *relation.Database
 	if d.Prev == nil {
+		fresh = part.Islands()
 		// The untouched core is assembled into a fresh database (near-linear
 		// with copy-on-write auto-sealing) rather than cloning the initial
 		// database and deleting every conflicted fact, which is quadratic at
@@ -408,11 +419,7 @@ func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalG
 		untouched.Seal()
 	} else {
 		// Incremental maintenance, O(delta + touched region).
-		freshIslands := make([]*abc.Island, len(fresh))
-		for fi, i := range fresh {
-			freshIslands[fi] = islands[i]
-		}
-		untouched = updateUntouched(d.Prev.Untouched, db, part, d.Ops, d.Removed, freshIslands)
+		untouched = updateUntouched(d.Prev.Untouched, db, part, d.Ops, d.Removed, fresh)
 	}
 
 	// Cap the inner DAG workers while several components are in flight:
@@ -427,18 +434,16 @@ func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalG
 	results := make([]explored, len(fresh))
 	errs := make([]error, len(fresh))
 	work := func(fi int) {
-		i := fresh[fi]
-		e, err := scope.explore(islands[i])
+		e, err := scope.explore(fresh[fi])
 		if err != nil {
 			errs[fi] = err
 			return
 		}
 		results[fi] = e
-		components[i] = e.comp
 		// Resident partitions carry the component to later delta builds;
 		// islands are private to this build until the caller publishes, so
 		// the write is unsynchronized but unshared.
-		islands[i].Payload = e.comp
+		fresh[fi].Payload = e.comp
 	}
 
 	workers := opt.Workers
@@ -479,7 +484,7 @@ func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalG
 		}
 	}
 
-	out := &Factored{initial: db, sigma: sigma, part: part, Untouched: untouched, Components: components, Reused: reused}
+	out := &Factored{initial: db, sigma: sigma, part: part, Untouched: untouched, Reused: part.Len() - len(fresh)}
 	// Deterministic accounting regardless of worker scheduling: results is
 	// in island order, so the first fresh component of each shape is the
 	// miss candidate and every other one a hit.
@@ -601,7 +606,7 @@ func renameFact(f relation.Fact, ren map[intern.Sym]intern.Sym) relation.Fact {
 // database: the product of the per-component repair counts.
 func (f *Factored) NumRepairs() *big.Int {
 	n := big.NewInt(1)
-	for _, c := range f.Components {
+	for _, c := range f.Components() {
 		n.Mul(n, big.NewInt(int64(c.NumRepairs())))
 	}
 	return n
@@ -769,14 +774,15 @@ func (f *Factored) forEachProductRepair(fn func(db *relation.Database, p *big.Ra
 	}
 	den := prob.Zero()
 	db := f.Untouched.Clone()
+	comps := f.Components()
 	var rec func(i int, p *big.Rat)
 	rec = func(i int, p *big.Rat) {
-		if i == len(f.Components) {
+		if i == len(comps) {
 			den.Add(den, p)
 			fn(db, p)
 			return
 		}
-		for _, r := range f.Components[i].Semantics().Repairs {
+		for _, r := range comps[i].Semantics().Repairs {
 			for _, fact := range r.DB.Facts() {
 				db.Insert(fact)
 			}
@@ -862,7 +868,7 @@ func (f *Factored) lineage(q *fo.Query, pass func(*relation.Database, []relation
 		return nil, false
 	}
 	fl := &factoredLineage{}
-	for ci, c := range f.Components {
+	for ci, c := range f.Components() {
 		for _, fact := range c.Facts {
 			fl.conflicted = append(fl.conflicted, fact)
 			fl.comp = append(fl.comp, ci)
@@ -880,7 +886,7 @@ func (f *Factored) lineage(q *fo.Query, pass func(*relation.Database, []relation
 // succeeds: the full success mass is then 0 and, as in Semantics.CP,
 // every conditional probability is 0.
 func (f *Factored) zeroSuccess() bool {
-	for _, c := range f.Components {
+	for _, c := range f.Components() {
 		if c.localSemantics().SuccessP.Sign() == 0 {
 			return true
 		}
@@ -955,9 +961,10 @@ func (f *Factored) noWitnessSurvives(fl *factoredLineage, witnesses [][]int, dea
 	var members []*member
 	byComp := map[int]*member{}
 	count := int64(1)
+	comps := f.Components()
 	for _, w := range witnesses {
 		for _, i := range w {
-			c := f.Components[fl.comp[i]]
+			c := comps[fl.comp[i]]
 			m := byComp[fl.comp[i]]
 			if m == nil {
 				m = &member{sem: c.localSemantics()}
@@ -1104,7 +1111,7 @@ func (f *Factored) TotalSequences() (*big.Int, error) {
 	// T[m] counts the interleavings of complete sequences of the first i
 	// components with total length m.
 	T := []*big.Int{big.NewInt(1)}
-	for _, c := range f.Components {
+	for _, c := range f.Components() {
 		cl := c.localSemantics().SequencesByLength
 		if cl == nil {
 			return nil, fmt.Errorf("core: per-length sequence counts unavailable; recompute with markov.ExploreOptions.TrackLengths")
@@ -1144,7 +1151,7 @@ func (f *Factored) TotalSequences() (*big.Int, error) {
 // chain walk this costs O(|D| + Σ |component repairs|) per draw.
 func (f *Factored) SampleRepair(rng *rand.Rand) *relation.Database {
 	db := f.Untouched.Clone()
-	for _, c := range f.Components {
+	for _, c := range f.Components() {
 		repairs := c.Semantics().Repairs
 		pick := repairs[prob.Pick(rng, c.repairWeights())]
 		for _, fact := range pick.DB.Facts() {

@@ -70,7 +70,7 @@ func project(t *testing.T, fac *core.Factored, inst *repair.Instance) factoredPr
 	for _, uf := range fac.Untouched.Facts() {
 		p.Untouched = append(p.Untouched, uf.String())
 	}
-	for _, c := range fac.Components {
+	for _, c := range fac.Components() {
 		sem := c.Semantics()
 		cp := componentProj{Success: sem.SuccessP.RatString()}
 		for _, cf := range c.Facts {
@@ -227,13 +227,13 @@ func TestFactoredStructuralCacheRenames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fac.Components) != 2 {
-		t.Fatalf("components = %d, want 2", len(fac.Components))
+	if len(fac.Components()) != 2 {
+		t.Fatalf("components = %d, want 2", len(fac.Components()))
 	}
 	if fac.CacheMisses != 1 || fac.CacheHits != 1 {
 		t.Fatalf("cache hits/misses = %d/%d, want 1/1", fac.CacheHits, fac.CacheMisses)
 	}
-	ca, cb := fac.Components[0], fac.Components[1]
+	ca, cb := fac.Components()[0], fac.Components()[1]
 	sa, sb := ca.Semantics(), cb.Semantics()
 	if sa.SuccessP.Cmp(sb.SuccessP) != 0 || len(sa.Repairs) != len(sb.Repairs) {
 		t.Fatalf("isomorphic components disagree: %d/%s vs %d/%s",
@@ -410,13 +410,13 @@ func TestWorkloadIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fac.Components) != cfg.Islands {
-		t.Errorf("components = %d, want %d", len(fac.Components), cfg.Islands)
+	if len(fac.Components()) != cfg.Islands {
+		t.Errorf("components = %d, want %d", len(fac.Components()), cfg.Islands)
 	}
 	if fac.Untouched.Size() != 0 {
 		t.Errorf("untouched = %d, want 0 (every fact is in some violation)", fac.Untouched.Size())
 	}
-	for _, c := range fac.Components {
+	for _, c := range fac.Components() {
 		if len(c.Facts) != cfg.FactsPerIsland {
 			t.Errorf("component size = %d, want %d", len(c.Facts), cfg.FactsPerIsland)
 		}

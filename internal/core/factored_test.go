@@ -46,8 +46,8 @@ func TestFactoredMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ComputeFactored: %v", err)
 	}
-	if len(fac.Components) != 3 {
-		t.Fatalf("components = %d, want 3", len(fac.Components))
+	if len(fac.Components()) != 3 {
+		t.Fatalf("components = %d, want 3", len(fac.Components()))
 	}
 	if fac.Untouched.Size() != 2 {
 		t.Errorf("untouched = %d facts, want 2", fac.Untouched.Size())
@@ -179,15 +179,15 @@ func TestFactoredEstimateCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fac.Components) != 26 && len(fac.Components) != 30 {
+	if len(fac.Components()) != 26 && len(fac.Components()) != 30 {
 		// 26 letters: some keys repeat; just require >1 component.
-		if len(fac.Components) < 2 {
-			t.Fatalf("components = %d", len(fac.Components))
+		if len(fac.Components()) < 2 {
+			t.Fatalf("components = %d", len(fac.Components()))
 		}
 	}
 	x, y := v("x"), v("y")
 	q := fo.MustQuery("All", []logic.Term{x, y}, fo.Atom{A: at("R", x, y)})
-	target := fac.Components[0].Facts[0]
+	target := fac.Components()[0].Facts[0]
 	exact := prob.Float(fac.FactProbability(target))
 	got, err := fac.EstimateCP(q, target.ArgNames()[:2], 0.1, 0.1, 77)
 	if err != nil {

@@ -76,8 +76,8 @@ func tpcDecides3Colorability(t *testing.T, nodes []string, edges [][2]string) bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fac.Components) != len(nodes) {
-		t.Fatalf("components = %d, want one per node (%d)", len(fac.Components), len(nodes))
+	if len(fac.Components()) != len(nodes) {
+		t.Fatalf("components = %d, want one per node (%d)", len(fac.Components()), len(nodes))
 	}
 	cp, err := fac.CP(properColoringQuery(), nil)
 	if err != nil {

@@ -380,7 +380,7 @@ func TestRenamedComponentLineage(t *testing.T) {
 		t.Fatalf("cache misses/hits = %d/%d, want 1/2", fac.CacheMisses, fac.CacheHits)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for ci, c := range fac.Components {
+	for ci, c := range fac.Components() {
 		sem := c.Semantics()
 		db, conflicted := sem.LineageInputs()
 		if db == nil {

@@ -458,30 +458,40 @@ func (d *Database) DomSyms() []intern.Sym {
 		// No deltas: the snapshot's (all-positive) domain is the answer.
 		return d.snap.domSyms
 	}
+	syms, _ := d.mergedDom()
+	return syms
+}
+
+// mergedDom merges the snapshot's per-constant occurrence counts with the
+// delta's, keeping the constants that still occur: the domain and counts
+// of the database as it stands, in one linear merge.
+func (d *Database) mergedDom() ([]intern.Sym, []int32) {
 	dc := d.domDelta()
-	out := make([]intern.Sym, 0, len(d.snap.domSyms)+len(dc.syms))
+	ss, sc := d.snap.domSyms, d.snap.domCnt
+	syms := make([]intern.Sym, 0, len(ss)+len(dc.syms))
+	cnt := make([]int32, 0, len(ss)+len(dc.syms))
+	keep := func(s intern.Sym, n int32) {
+		if n > 0 {
+			syms = append(syms, s)
+			cnt = append(cnt, n)
+		}
+	}
 	i, j := 0, 0
-	for i < len(d.snap.domSyms) || j < len(dc.syms) {
+	for i < len(ss) || j < len(dc.syms) {
 		switch {
-		case j >= len(dc.syms) || (i < len(d.snap.domSyms) && d.snap.domSyms[i] < dc.syms[j]):
-			if d.snap.domCnt[i] > 0 {
-				out = append(out, d.snap.domSyms[i])
-			}
+		case j >= len(dc.syms) || (i < len(ss) && ss[i] < dc.syms[j]):
+			keep(ss[i], sc[i])
 			i++
-		case i >= len(d.snap.domSyms) || dc.syms[j] < d.snap.domSyms[i]:
-			if dc.cnt[j] > 0 {
-				out = append(out, dc.syms[j])
-			}
+		case i >= len(ss) || dc.syms[j] < ss[i]:
+			keep(dc.syms[j], dc.cnt[j])
 			j++
 		default:
-			if d.snap.domCnt[i]+dc.cnt[j] > 0 {
-				out = append(out, d.snap.domSyms[i])
-			}
+			keep(ss[i], sc[i]+dc.cnt[j])
 			i++
 			j++
 		}
 	}
-	return out
+	return syms, cnt
 }
 
 // Dom returns the active domain dom(D): the sorted set of constant names
@@ -536,33 +546,46 @@ func (d *Database) Seal() {
 	snap := &snapshot{
 		facts:  make(map[Fact]struct{}, d.size),
 		byPred: make(map[intern.Sym][]Fact, len(d.snap.byPred)+2),
+		idx:    make(map[intern.Sym]*predIndex, len(d.snap.byPred)+2),
 		size:   d.size,
 	}
-	var dom domCounts
-	keep := func(f Fact) {
-		snap.facts[f] = struct{}{}
-		p := f.Pred()
-		snap.byPred[p] = append(snap.byPred[p], f)
-		for _, c := range f.Args() {
-			dom.adjust(c, 1)
+	touched := map[intern.Sym]bool{}
+	for _, fs := range []FactSet{d.added, d.removed} {
+		for _, f := range fs {
+			touched[f.Pred()] = true
 		}
 	}
 	// Each predicate keeps its old order minus the removed facts, then gains
 	// the added ones in id order — the order FactsByPred serves before the
 	// seal — so the layout, and every homomorphism order read off it, is a
-	// function of the insert/delete history, never of a map walk.
-	for _, fs := range d.snap.byPred {
+	// function of the insert/delete history, never of a map walk. A
+	// predicate the delta does not touch keeps its fact list and argument
+	// index by reference: both are immutable.
+	for p, fs := range d.snap.byPred {
+		if !touched[p] {
+			for _, f := range fs {
+				snap.facts[f] = struct{}{}
+			}
+			snap.byPred[p], snap.idx[p] = fs, d.snap.idx[p]
+			continue
+		}
 		for _, f := range fs {
 			if len(d.removed) == 0 || !d.removed.Has(f) {
-				keep(f)
+				snap.facts[f] = struct{}{}
+				snap.byPred[p] = append(snap.byPred[p], f)
 			}
 		}
 	}
 	for _, f := range d.added {
-		keep(f)
+		snap.facts[f] = struct{}{}
+		snap.byPred[f.Pred()] = append(snap.byPred[f.Pred()], f)
 	}
-	snap.domSyms, snap.domCnt = dom.syms, dom.cnt
-	snap.idx = buildIndex(snap.byPred)
+	for p := range touched {
+		if fs := snap.byPred[p]; len(fs) > 0 {
+			snap.idx[p] = buildPredIndex(fs, d.snap.idx[p])
+		}
+	}
+	snap.domSyms, snap.domCnt = d.mergedDom()
 	d.snap = snap
 	d.added = nil
 	d.removed = nil

@@ -157,7 +157,7 @@ func matchFrom(order []logic.Atom, i int, d *Database, cur logic.Subst, fn func(
 		}
 		n := 0
 		if pi != nil && j < len(pi.pos) {
-			n = len(pi.pos[j][c])
+			n = len(pi.pos[j].bucket(c))
 		}
 		if n < bestN {
 			bestN, bestPos, bestSym = n, j, c

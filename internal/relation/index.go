@@ -19,71 +19,96 @@ import (
 // slices; ForEachHom folds oversized deltas into a fresh snapshot before
 // searching, so the delta scan stays bounded by autoSealFloor.
 
-// predIndex is the secondary index of one predicate: pos[j] maps the
-// constant at argument position j to the facts carrying it there. Bucket
-// slices are subslices of one packed backing array per position, grouped
-// in byPred order (so indexed enumeration visits survivors in the same
-// relative order as a filtered scan of FactsByPred).
+// predIndex is the secondary index of one predicate, one posIndex per
+// argument position.
 type predIndex struct {
-	pos []map[intern.Sym][]Fact
+	pos []posIndex
+}
+
+// posIndex indexes one argument position: spans maps each constant to its
+// span number k, and the facts carrying the constant there are
+// facts[start[k]:start[k+1]], a subslice of one packed array. Spans are
+// numbered in first-occurrence order and filled in byPred order, so
+// indexed enumeration visits survivors in the same relative order as a
+// filtered scan of FactsByPred.
+type posIndex struct {
+	spans map[intern.Sym]int32
+	start []int32
+	facts []Fact
+}
+
+// bucket returns the facts carrying sym, nil when none does.
+func (pi *posIndex) bucket(sym intern.Sym) []Fact {
+	k, ok := pi.spans[sym]
+	if !ok {
+		return nil
+	}
+	return pi.span(k)
+}
+
+func (pi *posIndex) span(k int32) []Fact {
+	lo, hi := pi.start[k], pi.start[k+1]
+	return pi.facts[lo:hi:hi]
 }
 
 // buildPredIndex indexes the facts of one predicate. Facts of heterogeneous
 // arity are indexed at every position they actually have; the arity check
-// during unification filters the rest.
-func buildPredIndex(fs []Fact) *predIndex {
+// during unification filters the rest. prev, when non-nil, is the
+// predicate's index in the previous snapshot; its span counts presize the
+// maps, which a Seal of a mostly unchanged database would otherwise grow
+// step by step.
+func buildPredIndex(fs []Fact, prev *predIndex) *predIndex {
 	maxAr := 0
 	for _, f := range fs {
 		if a := f.Arity(); a > maxAr {
 			maxAr = a
 		}
 	}
-	pi := &predIndex{pos: make([]map[intern.Sym][]Fact, maxAr)}
-	for j := 0; j < maxAr; j++ {
-		counts := make(map[intern.Sym]int)
-		total := 0
-		for _, f := range fs {
-			if args := f.Args(); j < len(args) {
-				counts[args[j]]++
-				total++
-			}
+	pi := &predIndex{pos: make([]posIndex, maxAr)}
+	// spanOf[i] is the span of fs[i] at the current position (-1 when fs[i]
+	// has no argument there), so the fill pass needs no second map probe.
+	spanOf := make([]int32, len(fs))
+	for j := range maxAr {
+		hint := 0
+		if prev != nil && j < len(prev.pos) {
+			hint = len(prev.pos[j].spans)
 		}
-		backing := make([]Fact, total)
-		// Assign each symbol a contiguous span in first-occurrence order,
-		// then fill spans in byPred order so buckets preserve it.
-		offsets := make(map[intern.Sym]int, len(counts))
-		next := make(map[intern.Sym]int, len(counts))
-		cum := 0
-		for _, f := range fs {
+		spans := make(map[intern.Sym]int32, hint)
+		var count []int32
+		total := 0
+		for i, f := range fs {
 			args := f.Args()
 			if j >= len(args) {
+				spanOf[i] = -1
 				continue
 			}
-			s := args[j]
-			if _, seen := offsets[s]; !seen {
-				offsets[s] = cum
-				next[s] = cum
-				cum += counts[s]
+			k, ok := spans[args[j]]
+			if !ok {
+				k = int32(len(count))
+				spans[args[j]] = k
+				count = append(count, 0)
 			}
-			backing[next[s]] = f
-			next[s]++
+			count[k]++
+			spanOf[i] = k
+			total++
 		}
-		buckets := make(map[intern.Sym][]Fact, len(counts))
-		for s, off := range offsets {
-			buckets[s] = backing[off : off+counts[s] : off+counts[s]]
+		// Prefix sums turn the counts into span starts; count then serves
+		// as each span's fill cursor.
+		start := make([]int32, len(count)+1)
+		for k, c := range count {
+			start[k+1] = start[k] + c
+			count[k] = start[k]
 		}
-		pi.pos[j] = buckets
+		facts := make([]Fact, total)
+		for i, f := range fs {
+			if k := spanOf[i]; k >= 0 {
+				facts[count[k]] = f
+				count[k]++
+			}
+		}
+		pi.pos[j] = posIndex{spans: spans, start: start, facts: facts}
 	}
 	return pi
-}
-
-// buildIndex builds the per-predicate argument indexes of a snapshot.
-func buildIndex(byPred map[intern.Sym][]Fact) map[intern.Sym]*predIndex {
-	idx := make(map[intern.Sym]*predIndex, len(byPred))
-	for p, fs := range byPred {
-		idx[p] = buildPredIndex(fs)
-	}
-	return idx
 }
 
 // bucket returns the snapshot facts with sym at argument position pos of
@@ -94,7 +119,7 @@ func (s *snapshot) bucket(pred intern.Sym, pos int, sym intern.Sym) []Fact {
 	if pi == nil || pos >= len(pi.pos) {
 		return nil
 	}
-	return pi.pos[pos][sym]
+	return pi.pos[pos].bucket(sym)
 }
 
 // PredCount reports the number of facts with the given predicate without
@@ -135,7 +160,7 @@ func (d *Database) CountAt(pred intern.Sym, pos int, sym intern.Sym) int {
 func (d *Database) avgBucket(pred intern.Sym, pos int) int {
 	total := d.PredCount(pred)
 	if pi := d.snap.idx[pred]; pi != nil && pos < len(pi.pos) {
-		if k := len(pi.pos[pos]); k > 0 {
+		if k := len(pi.pos[pos].spans); k > 0 {
 			if est := (len(d.snap.byPred[pred]) + k - 1) / k; est < total {
 				return est
 			}
@@ -167,8 +192,9 @@ func (d *Database) ForEachGroupAt(pred intern.Sym, pos int, fn func(sym intern.S
 	if len(d.added) == 0 && len(d.removed) == 0 {
 		if pi := d.snap.idx[pred]; pi != nil {
 			if pos < len(pi.pos) {
-				for s, bucket := range pi.pos[pos] {
-					if !fn(s, bucket) {
+				px := &pi.pos[pos]
+				for s, k := range px.spans {
+					if !fn(s, px.span(k)) {
 						return
 					}
 				}

@@ -1,8 +1,8 @@
 // Package serve is the resident OCQA engine behind cmd/ocqad: it keeps a
-// database, its violations, the conflict partition, and the factored
-// repair semantics live in memory, answers queries from snapshots that
-// never block, and absorbs fact insertions and retractions with work
-// proportional to the delta — not the database.
+// database, the conflict partition (which holds the violations, island by
+// island), and the factored repair semantics live in memory, answers
+// queries from snapshots that never block, and absorbs fact insertions and
+// retractions with work proportional to the delta — not the database.
 //
 // # Key pieces
 //
@@ -10,20 +10,30 @@
 //     batches, coalescing everything queued behind the batch in hand into
 //     one publication; queries read the current Snapshot through an
 //     atomic pointer.
-//   - Snapshot: one immutable serving state (database, violations,
-//     partition, factored semantics). Readers may hold one across
-//     ingests; superseded snapshots stay fully queryable.
-//   - Op / Ingest: the write path. Each batch runs the fused pipeline
-//     relation.Database.Clone (O(delta) copy-on-write) →
-//     constraint.UpdateViolationsDelta (semi-naive violation maintenance,
-//     one call per run of same-kind operations) → one batched
-//     abc.Partition.Update (violation deltas net by ID, the touched
-//     region re-partitions once per publication) →
-//     core.ComputeFactoredDelta, the same factored build as the initial
-//     snapshot: it explores only the batch's fresh islands, on the
-//     Options.Workers pool, and carries every untouched component's
-//     semantics verbatim. The coordinator is the only goroutine the
-//     Server keeps; build workers live for one publication.
+//   - Snapshot: one immutable serving state (database, partition,
+//     factored semantics). Readers may hold one across ingests;
+//     superseded snapshots stay fully queryable. Snapshot.Violations
+//     assembles the flat violation set from the islands on demand, for
+//     tests and diagnostics.
+//   - Op / Ingest: the write path. Each batch clones the database
+//     (relation.Database.Clone, O(delta) copy-on-write), then handles each
+//     run of same-kind operations in turn: an insertion run finds the
+//     violations it introduces by the semi-naive search around the
+//     inserted facts (constraint.IntroducedViolations), a deletion run the
+//     violations it eliminates in the islands of the deleted facts
+//     (constraint.EliminatedBy), and either advances the persistent
+//     partition by one abc.Partition.Update, which re-partitions the
+//     touched islands and path-copies their facts' trie entries. Σ is
+//     TGD-free, so an insertion never eliminates and a deletion never
+//     introduces. Last, core.ComputeFactoredDelta — the same factored
+//     build as the initial snapshot — explores the islands that are new in
+//     the final partition, on the Options.Workers pool, and carries every
+//     other component's semantics verbatim. No step copies or scans a
+//     structure as large as the database or the island list; the one
+//     O(|D|) term left is the database's own snapshot fold (Seal), which
+//     the copy-on-write substrate runs once its delta reaches a few hundred
+//     facts. The coordinator is the only goroutine the Server keeps; build
+//     workers live for one publication.
 //   - The op log (Options.LogPath): an append-only record of each
 //     publication's applied operations, replayed on startup so a
 //     restarted server rebuilds the exact pre-shutdown snapshot — same
@@ -42,8 +52,8 @@
 //     island's facts, and the exact rational arithmetic is
 //     order-independent.
 //   - Batches are atomic: a reader sees either none or all of a batch,
-//     and the Snapshot's database, violations, partition, and semantics
-//     are always mutually consistent. A batch whose build fails (say a
+//     and the Snapshot's database, partition, and semantics are always
+//     mutually consistent. A batch whose build fails (say a
 //     component past Options.MaxStates) fails every caller it coalesced
 //     and leaves the served snapshot, stats, op log, and structural
 //     cache as they were.

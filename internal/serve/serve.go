@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,11 +38,6 @@ type Options struct {
 	// Seed seeds the degradation estimator, so a query repeated against the
 	// same snapshot returns the same estimate.
 	Seed int64
-	// CompactLimit bounds the copy-on-write delta a served database may
-	// accumulate before publication folds it into a fresh snapshot
-	// (default 4096). Smaller keeps reader clones cheaper; larger amortizes
-	// the O(|D|) fold over more ingests.
-	CompactLimit int
 	// QueueDepth sizes the ingest queue feeding the writer goroutine and
 	// bounds how many queued requests one publication may coalesce
 	// (default 64).
@@ -66,14 +62,19 @@ func (o Options) withDefaults() Options {
 	if o.Delta <= 0 {
 		o.Delta = 0.05
 	}
-	if o.CompactLimit <= 0 {
-		o.CompactLimit = 4096
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
 	return o
 }
+
+// compactLimit bounds the copy-on-write delta a served database may
+// accumulate before publication folds it into a fresh snapshot. In practice
+// the fold comes earlier: the first insertion's violation search on a
+// database whose delta has reached the homomorphism search's auto-seal
+// floor (256 facts) seals it, so this bound only caps deletion-only
+// streams.
+const compactLimit = 4096
 
 // Op is one ingested change: a fact inserted or retracted.
 type Op struct {
@@ -113,18 +114,22 @@ type Stats struct {
 	CacheShapes int `json:"cache_shapes"`
 }
 
-// Snapshot is one published, immutable serving state: the database, its
-// violations, the conflict partition, and the factored semantics, all
-// consistent with each other. Readers obtain one via Server.Snapshot and
-// may query it for as long as they like — later ingests publish new
-// snapshots without invalidating old ones.
+// Snapshot is one published, immutable serving state: the database, the
+// conflict partition (which holds the violations, island by island), and
+// the factored semantics, all consistent with each other. Readers obtain
+// one via Server.Snapshot and may query it for as long as they like —
+// later ingests publish new snapshots without invalidating old ones.
 type Snapshot struct {
-	DB         *relation.Database
-	Violations *constraint.Violations
-	Part       *abc.Partition
-	Fac        *core.Factored
-	stats      Stats
+	DB    *relation.Database
+	Part  *abc.Partition
+	Fac   *core.Factored
+	stats Stats
 }
+
+// Violations returns V(DB,Σ) as one ID-sorted set, assembled from the
+// partition's islands on each call: for tests and diagnostics. The served
+// state keeps no flat violation set.
+func (sn *Snapshot) Violations() *constraint.Violations { return sn.Part.Violations() }
 
 // Version returns the snapshot's publication version.
 func (sn *Snapshot) Version() uint64 { return sn.stats.Version }
@@ -134,9 +139,9 @@ func (sn *Snapshot) Stats() Stats { return sn.stats }
 
 // Server is a resident OCQA engine: it holds the current Snapshot behind an
 // atomic pointer (readers never block, never see a half-applied ingest) and
-// funnels all ingests through a coordinator goroutine that re-maintains
-// violations, the conflict partition, and the factored semantics with work
-// proportional to the delta's touched region. The coordinator drains every
+// funnels all ingests through a coordinator goroutine that re-maintains the
+// conflict partition (and with it the violations) and the factored
+// semantics with work proportional to the delta's touched region. The coordinator drains every
 // request queued behind the one it is serving into the same publication, so
 // N concurrent callers pay one recompute and one snapshot publish between
 // them; the touched islands are explored by core.ComputeFactoredDelta on the
@@ -199,14 +204,13 @@ func New(db *relation.Database, sigma *constraint.Set, gen core.LocalGenerator, 
 	}
 	initial := db.Clone()
 	initial.Seal()
-	vs := constraint.FindViolations(initial, sigma)
-	part := abc.NewPartition(vs)
+	part := abc.NewPartition(constraint.FindViolations(initial, sigma))
 	fac, err := core.ComputeFactoredDelta(initial, sigma, gen, s.explore(), s.fopt(), core.FactoredDelta{Part: part})
 	if err != nil {
 		return nil, err
 	}
-	s.cumRecomputed = uint64(len(fac.Components))
-	snap := &Snapshot{DB: initial, Violations: vs, Part: part, Fac: fac}
+	s.cumRecomputed = uint64(part.Len())
+	snap := &Snapshot{DB: initial, Part: part, Fac: fac}
 	snap.stats = s.statsFor(snap, 0)
 	s.cur.Store(snap)
 	if opts.LogPath != "" {
@@ -245,11 +249,11 @@ func (s *Server) statsFor(snap *Snapshot, version uint64) Stats {
 	return Stats{
 		Version:       version,
 		Facts:         snap.DB.Size(),
-		Violations:    snap.Violations.Len(),
-		Components:    len(snap.Fac.Components),
+		Violations:    snap.Part.NumViolations(),
+		Components:    snap.Part.Len(),
 		Untouched:     snap.Fac.Untouched.Size(),
 		Reused:        snap.Fac.Reused,
-		Recomputed:    len(snap.Fac.Components) - snap.Fac.Reused,
+		Recomputed:    snap.Part.Len() - snap.Fac.Reused,
 		CacheHits:     snap.Fac.CacheHits,
 		CacheMisses:   snap.Fac.CacheMisses,
 		LastBatchOps:  s.lastBatchOps,
@@ -355,13 +359,15 @@ func (s *Server) loop() {
 }
 
 // apply advances the served state by one coalesced batch: an O(delta)
-// clone of the current database, violation maintenance per operation, one
-// batched partition update, then a delta-scoped rebuild through
-// core.ComputeFactoredDelta, which explores only the fresh islands on the
-// Options.Workers pool and carries every other component. The new snapshot
-// is logged (when an op log is attached) and published atomically; the
-// previous one stays valid for readers still holding it, and a failed build
-// leaves the served state, counters, and log untouched.
+// clone of the current database, then, per run of same-kind operations,
+// the run's violation delta and one partition update, and finally a
+// delta-scoped rebuild through core.ComputeFactoredDelta, which explores
+// only the fresh islands on the Options.Workers pool and carries every
+// other component. Nothing here is proportional to the database or to the
+// number of islands. The new snapshot is logged (when an op log is
+// attached) and published atomically; the previous one stays valid for
+// readers still holding it, and a failed build leaves the served state,
+// counters, and log untouched.
 func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	if h := testHookApply; h != nil {
 		h(ops)
@@ -370,56 +376,41 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	defer s.mu.Unlock()
 	cur := s.cur.Load()
 	db := cur.DB.Clone()
-	vs := cur.Violations
+	part := cur.Part
 	var applied []core.FactDelta
-	var changed []relation.Fact
-	// Violation deltas accumulate across the batch netted by ID: presence
-	// strictly alternates per violation, so an elimination cancels the
-	// batch's earlier introduction of the same violation (and vice versa),
-	// and what survives is exactly the before/after difference. Dead
-	// entries stay in the slices to keep the surviving order deterministic.
-	type netVio struct {
-		v    constraint.Violation
-		live bool
-	}
-	var elims, intros []netVio
-	elimIdx := map[uint64]int{}
-	introIdx := map[uint64]int{}
-	cancel := func(idx map[uint64]int, vios []netVio, id uint64) bool {
-		j, ok := idx[id]
-		if ok {
-			vios[j].live = false
-			delete(idx, id)
-		}
-		return ok
-	}
-	// Consecutive effective operations of the same kind form one multi-fact
-	// violation delta: the facts in a group are distinct (a repeat would
-	// have been ineffective) and the delta algorithm is exact for set
-	// deltas, so one call replaces len(group) copy-on-write passes over the
-	// violation set. The group flushes when the kind flips, keeping the
-	// per-fact application order.
+	var fresh, removed []*abc.Island
+	// Consecutive effective operations of the same kind form one group: the
+	// facts in a group are distinct (a repeat would have been ineffective)
+	// and the violation delta is exact for set deltas, so one search and
+	// one partition update cover the group. The group flushes when the kind
+	// flips, keeping the per-fact application order. Σ is TGD-free (the
+	// factored build refuses TGDs), so an insertion only introduces
+	// violations — found by the semi-naive search around the inserted
+	// facts — and a deletion only eliminates them: the violations of the
+	// deleted facts' islands that lose a body fact.
 	var group []relation.Fact
 	var groupInsert bool
 	flush := func() {
 		if len(group) == 0 {
 			return
 		}
-		after, elim, intro := constraint.UpdateViolationsDelta(db, s.sigma, vs, group, groupInsert)
-		vs = after
+		var elim, intro []constraint.Violation
+		if groupInsert {
+			intro = constraint.IntroducedViolations(db, s.sigma, nil, group, true)
+		} else {
+			var seen []*abc.Island
+			for _, f := range group {
+				if isl := part.IslandOf(f); isl != nil && !slices.Contains(seen, isl) {
+					seen = append(seen, isl)
+					elim = constraint.EliminatedBy(isl.Violations(), group, elim)
+				}
+			}
+		}
+		var fr, rm []*abc.Island
+		part, fr, rm = part.Update(elim, intro, group)
+		fresh = append(fresh, fr...)
+		removed = append(removed, rm...)
 		group = nil
-		for _, v := range elim {
-			if id := v.ID(); !cancel(introIdx, intros, id) {
-				elimIdx[id] = len(elims)
-				elims = append(elims, netVio{v, true})
-			}
-		}
-		for _, v := range intro {
-			if id := v.ID(); !cancel(elimIdx, elims, id) {
-				introIdx[id] = len(intros)
-				intros = append(intros, netVio{v, true})
-			}
-		}
 	}
 	for _, op := range ops {
 		// Flush before touching db, so the pending group's delta search runs
@@ -438,35 +429,28 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 		}
 		groupInsert = op.Insert
 		group = append(group, op.Fact)
-		changed = append(changed, op.Fact)
 		applied = append(applied, core.FactDelta{Fact: op.Fact, Insert: op.Insert})
 	}
 	flush()
 	if len(applied) == 0 {
 		return cur, nil
 	}
-	db.Compact(s.opts.CompactLimit)
+	db.Compact(compactLimit)
 
-	// One partition update covers the whole batch — the O(islands) merge is
-	// paid per publication, not per operation, which is most of what
-	// coalescing amortizes. The net deltas describe the before/after
-	// violation difference, so the touched region re-partitions directly
-	// against the final violation set. The fresh islands are exactly those
-	// without a component payload (carried islands brought theirs along),
-	// which is what ComputeFactoredDelta explores; removed is the dissolved
-	// originals, whose facts may return to the untouched core.
-	surviving := func(vios []netVio) []constraint.Violation {
-		out := make([]constraint.Violation, 0, len(vios))
-		for _, e := range vios {
-			if e.live {
-				out = append(out, e.v)
-			}
+	// removed holds every island a group dissolved, the batch's own
+	// short-lived fresh islands included; their facts may return to the
+	// untouched core. The islands to explore are the fresh ones that
+	// survived to the final partition — exactly its islands without a
+	// component payload, since carried islands brought theirs along.
+	live := fresh[:0]
+	for _, isl := range fresh {
+		if part.IslandOf(isl.Facts[0]) == isl {
+			live = append(live, isl)
 		}
-		return out
 	}
-	part, _, removed := cur.Part.Update(surviving(elims), surviving(intros), changed)
+	slices.SortFunc(live, func(a, b *abc.Island) int { return relation.CompareFacts(a.Facts[0], b.Facts[0]) })
 	fac, err := core.ComputeFactoredDelta(db, s.sigma, s.gen, s.explore(), s.fopt(),
-		core.FactoredDelta{Prev: cur.Fac, Part: part, Removed: removed, Ops: applied})
+		core.FactoredDelta{Prev: cur.Fac, Part: part, Fresh: live, Removed: removed, Ops: applied})
 	if err != nil {
 		return nil, err
 	}
@@ -478,12 +462,12 @@ func (s *Server) apply(ops []Op) (*Snapshot, error) {
 	// The build succeeded and (when logging) persisted; only now touch the
 	// resident counters, so a failed publication cannot skew them.
 	s.cumOps += uint64(len(applied))
-	s.cumRecomputed += uint64(len(fac.Components) - fac.Reused)
+	s.cumRecomputed += uint64(len(live))
 	s.lastBatchOps = len(applied)
 	if s.lastBatchOps > s.maxBatchOps {
 		s.maxBatchOps = s.lastBatchOps
 	}
-	next := &Snapshot{DB: db, Violations: vs, Part: part, Fac: fac}
+	next := &Snapshot{DB: db, Part: part, Fac: fac}
 	next.stats = s.statsFor(next, cur.stats.Version+1)
 	s.cur.Store(next)
 	return next, nil

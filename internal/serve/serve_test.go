@@ -44,7 +44,7 @@ type repairProj struct {
 }
 
 func projectSnap(sn *serve.Snapshot) snapProj {
-	p := snapProj{Version: sn.Version(), Violations: sn.Violations.Len()}
+	p := snapProj{Version: sn.Version(), Violations: sn.Violations().Len()}
 	facts := sn.DB.Facts()
 	relation.SortFacts(facts)
 	for _, f := range facts {
@@ -57,7 +57,7 @@ func projectSnap(sn *serve.Snapshot) snapProj {
 
 func projectComponents(fac *core.Factored) []compProj {
 	var out []compProj
-	for _, c := range fac.Components {
+	for _, c := range fac.Components() {
 		sem := c.Semantics()
 		cp := compProj{Success: sem.SuccessP.RatString()}
 		for _, cf := range c.Facts {
@@ -175,11 +175,14 @@ func TestServeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestServeRandomizedIngestEquivalence: a randomized ingest stream where
-// every published snapshot is checked against ground truth — violations
-// against FindViolations, the partition against a from-scratch partition,
-// marginals against an uncached recompute — and the reuse accounting always
-// balances (Reused + recomputed = components; the cache never serves a
-// stale component).
+// every published snapshot is checked against ground truth — the
+// violations (assembled from the partition's islands) against
+// FindViolations, the island order and each island's violations against a
+// from-scratch partition, the components and marginals against an
+// uncached recompute — and the reuse accounting always balances (Reused +
+// recomputed = components; the cache never serves a stale component). The
+// stream mixes single ops with coalesced batches, among them batches that
+// insert a fact and delete it again (or the reverse) before publishing.
 func TestServeRandomizedIngestEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 19, 57} {
 		db, sigma, ops := workload.ServeMix(mixConfig(60, 0.6, seed))
@@ -187,62 +190,99 @@ func TestServeRandomizedIngestEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rng := rand.New(rand.NewSource(seed))
 		shadow := db.Clone()
-		checked := 0
+		checked, undone := 0, 0
 		for _, op := range ops {
 			if !op.Ingest {
 				continue
 			}
-			if op.Insert {
-				shadow.Insert(op.Fact)
-			} else {
-				shadow.Delete(op.Fact)
+			batch := []serve.Op{{Fact: op.Fact, Insert: op.Insert}}
+			if rng.Intn(3) == 0 {
+				// Undo the toggle inside the same batch, then redo it, so
+				// the batch publishes the toggle after passing through the
+				// state it started from.
+				batch = append(batch, serve.Op{Fact: op.Fact, Insert: !op.Insert}, batch[0])
+				undone++
 			}
-			sn, err := s.Ingest([]serve.Op{{Fact: op.Fact, Insert: op.Insert}})
-			if err != nil {
-				t.Fatalf("seed %d ingest %v: %v", seed, op, err)
-			}
-
-			wantVs := constraint.FindViolations(shadow, sigma)
-			if sn.Violations.Len() != wantVs.Len() {
-				t.Fatalf("seed %d: served %d violations, want %d", seed, sn.Violations.Len(), wantVs.Len())
-			}
-			for _, v := range wantVs.All() {
-				if !sn.Violations.Has(v.ID()) {
-					t.Fatalf("seed %d: served violations miss %s", seed, v.Key())
+			for _, o := range batch {
+				if o.Insert {
+					shadow.Insert(o.Fact)
+				} else {
+					shadow.Delete(o.Fact)
 				}
 			}
-			if !reflect.DeepEqual(sn.Part.Components(), abc.NewPartition(wantVs).Components()) {
-				t.Fatalf("seed %d: served partition differs from rebuild", seed)
+			sn, err := s.Ingest(batch)
+			if err != nil {
+				t.Fatalf("seed %d ingest %v: %v", seed, batch, err)
 			}
-			st := sn.Stats()
-			if st.Reused+st.Recomputed != st.Components {
-				t.Fatalf("seed %d: reuse accounting broken: %d + %d != %d", seed, st.Reused, st.Recomputed, st.Components)
-			}
-			if st.CacheHits+st.CacheMisses > st.Recomputed {
-				t.Fatalf("seed %d: cache traffic %d+%d exceeds the %d recomputed components",
-					seed, st.CacheHits, st.CacheMisses, st.Recomputed)
-			}
-			gotComps := projectComponents(sn.Fac)
-			wantComps, wantMarg := freshProj(t, shadow, sigma, 0)
-			if !reflect.DeepEqual(gotComps, wantComps) {
-				t.Fatalf("seed %d version %d: served components differ from from-scratch recompute", seed, sn.Version())
-			}
-			var gotMarg []string
-			facts := shadow.Facts()
-			relation.SortFacts(facts)
-			for _, f := range facts {
-				gotMarg = append(gotMarg, sn.Fac.FactProbability(f).RatString())
-			}
-			if !reflect.DeepEqual(gotMarg, wantMarg) {
-				t.Fatalf("seed %d version %d: served marginals differ from from-scratch recompute", seed, sn.Version())
-			}
+			checkSnapshot(t, sn, shadow, sigma)
 			checked++
+			if rng.Intn(4) == 0 {
+				// A batch whose net effect is nothing: the fact goes back
+				// and forth, and the publication must equal the state
+				// before it.
+				back := []serve.Op{{Fact: op.Fact, Insert: !op.Insert}, {Fact: op.Fact, Insert: op.Insert}}
+				sn, err := s.Ingest(back)
+				if err != nil {
+					t.Fatalf("seed %d ingest %v: %v", seed, back, err)
+				}
+				checkSnapshot(t, sn, shadow, sigma)
+				undone++
+			}
 		}
-		if checked == 0 {
-			t.Fatalf("seed %d: stream contained no effective ingest", seed)
+		if checked == 0 || undone == 0 {
+			t.Fatalf("seed %d: stream checked %d ingests, %d with an in-batch undo", seed, checked, undone)
 		}
 		s.Close()
+	}
+}
+
+// checkSnapshot compares a published snapshot with a from-scratch build
+// over the shadow database.
+func checkSnapshot(t *testing.T, sn *serve.Snapshot, shadow *relation.Database, sigma *constraint.Set) {
+	t.Helper()
+	wantVs := constraint.FindViolations(shadow, sigma)
+	if got, want := sn.Violations().Keys(), wantVs.Keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("version %d: served violations %v, want %v", sn.Version(), got, want)
+	}
+	want := abc.NewPartition(wantVs)
+	if !reflect.DeepEqual(sn.Part.Components(), want.Components()) {
+		t.Fatalf("version %d: served island order differs from rebuild", sn.Version())
+	}
+	for i, isl := range sn.Part.Islands() {
+		if !reflect.DeepEqual(isl.Violations(), want.Islands()[i].Violations()) {
+			t.Fatalf("version %d: island %d holds violations %v, want %v", sn.Version(), i, isl.Violations(), want.Islands()[i].Violations())
+		}
+		if c := sn.Fac.Components()[i]; !reflect.DeepEqual(c.Facts, isl.Facts) {
+			t.Fatalf("version %d: component %d is not aligned with island %d", sn.Version(), i, i)
+		}
+	}
+	st := sn.Stats()
+	if st.Violations != wantVs.Len() || st.Components != want.Len() {
+		t.Fatalf("version %d: stats count %d violations and %d components, want %d and %d",
+			sn.Version(), st.Violations, st.Components, wantVs.Len(), want.Len())
+	}
+	if st.Reused+st.Recomputed != st.Components {
+		t.Fatalf("version %d: reuse accounting broken: %d + %d != %d", sn.Version(), st.Reused, st.Recomputed, st.Components)
+	}
+	if st.CacheHits+st.CacheMisses > st.Recomputed {
+		t.Fatalf("version %d: cache traffic %d+%d exceeds the %d recomputed components",
+			sn.Version(), st.CacheHits, st.CacheMisses, st.Recomputed)
+	}
+	gotComps := projectComponents(sn.Fac)
+	wantComps, wantMarg := freshProj(t, shadow, sigma, 0)
+	if !reflect.DeepEqual(gotComps, wantComps) {
+		t.Fatalf("version %d: served components differ from from-scratch recompute", sn.Version())
+	}
+	var gotMarg []string
+	facts := shadow.Facts()
+	relation.SortFacts(facts)
+	for _, f := range facts {
+		gotMarg = append(gotMarg, sn.Fac.FactProbability(f).RatString())
+	}
+	if !reflect.DeepEqual(gotMarg, wantMarg) {
+		t.Fatalf("version %d: served marginals differ from from-scratch recompute", sn.Version())
 	}
 }
 
