@@ -549,42 +549,30 @@ func (d *Database) Seal() {
 		idx:    make(map[intern.Sym]*predIndex, len(d.snap.byPred)+2),
 		size:   d.size,
 	}
-	touched := map[intern.Sym]bool{}
-	for _, fs := range []FactSet{d.added, d.removed} {
-		for _, f := range fs {
-			touched[f.Pred()] = true
-		}
+	keep := func(f Fact) {
+		snap.facts[f] = struct{}{}
+		p := f.Pred()
+		snap.byPred[p] = append(snap.byPred[p], f)
 	}
 	// Each predicate keeps its old order minus the removed facts, then gains
 	// the added ones in id order — the order FactsByPred serves before the
 	// seal — so the layout, and every homomorphism order read off it, is a
-	// function of the insert/delete history, never of a map walk. A
-	// predicate the delta does not touch keeps its fact list and argument
-	// index by reference: both are immutable.
-	for p, fs := range d.snap.byPred {
-		if !touched[p] {
-			for _, f := range fs {
-				snap.facts[f] = struct{}{}
-			}
-			snap.byPred[p], snap.idx[p] = fs, d.snap.idx[p]
-			continue
-		}
+	// function of the insert/delete history, never of a map walk.
+	for _, fs := range d.snap.byPred {
 		for _, f := range fs {
 			if len(d.removed) == 0 || !d.removed.Has(f) {
-				snap.facts[f] = struct{}{}
-				snap.byPred[p] = append(snap.byPred[p], f)
+				keep(f)
 			}
 		}
 	}
 	for _, f := range d.added {
-		snap.facts[f] = struct{}{}
-		snap.byPred[f.Pred()] = append(snap.byPred[f.Pred()], f)
+		keep(f)
 	}
-	for p := range touched {
-		if fs := snap.byPred[p]; len(fs) > 0 {
-			snap.idx[p] = buildPredIndex(fs, d.snap.idx[p])
-		}
+	for p, fs := range snap.byPred {
+		snap.idx[p] = buildPredIndex(fs, d.snap.idx[p])
 	}
+	// The domain counts are the old snapshot's plus the delta's, merged in
+	// one pass instead of recounted fact by fact.
 	snap.domSyms, snap.domCnt = d.mergedDom()
 	d.snap = snap
 	d.added = nil

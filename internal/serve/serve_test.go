@@ -212,22 +212,24 @@ func TestServeRandomizedIngestEquivalence(t *testing.T) {
 					shadow.Delete(o.Fact)
 				}
 			}
+			prev := s.Snapshot()
 			sn, err := s.Ingest(batch)
 			if err != nil {
 				t.Fatalf("seed %d ingest %v: %v", seed, batch, err)
 			}
-			checkSnapshot(t, sn, shadow, sigma)
+			checkSnapshot(t, prev, sn, shadow, sigma)
 			checked++
 			if rng.Intn(4) == 0 {
 				// A batch whose net effect is nothing: the fact goes back
 				// and forth, and the publication must equal the state
 				// before it.
 				back := []serve.Op{{Fact: op.Fact, Insert: !op.Insert}, {Fact: op.Fact, Insert: op.Insert}}
+				prev := sn
 				sn, err := s.Ingest(back)
 				if err != nil {
 					t.Fatalf("seed %d ingest %v: %v", seed, back, err)
 				}
-				checkSnapshot(t, sn, shadow, sigma)
+				checkSnapshot(t, prev, sn, shadow, sigma)
 				undone++
 			}
 		}
@@ -239,8 +241,9 @@ func TestServeRandomizedIngestEquivalence(t *testing.T) {
 }
 
 // checkSnapshot compares a published snapshot with a from-scratch build
-// over the shadow database.
-func checkSnapshot(t *testing.T, sn *serve.Snapshot, shadow *relation.Database, sigma *constraint.Set) {
+// over the shadow database, and its reuse count with the islands it shares
+// with prev, the snapshot it was published over.
+func checkSnapshot(t *testing.T, prev, sn *serve.Snapshot, shadow *relation.Database, sigma *constraint.Set) {
 	t.Helper()
 	wantVs := constraint.FindViolations(shadow, sigma)
 	if got, want := sn.Violations().Keys(), wantVs.Keys(); !reflect.DeepEqual(got, want) {
@@ -263,8 +266,15 @@ func checkSnapshot(t *testing.T, sn *serve.Snapshot, shadow *relation.Database, 
 		t.Fatalf("version %d: stats count %d violations and %d components, want %d and %d",
 			sn.Version(), st.Violations, st.Components, wantVs.Len(), want.Len())
 	}
-	if st.Reused+st.Recomputed != st.Components {
-		t.Fatalf("version %d: reuse accounting broken: %d + %d != %d", sn.Version(), st.Reused, st.Recomputed, st.Components)
+	shared := 0
+	for _, isl := range sn.Part.Islands() {
+		if prev.Part.IslandOf(isl.Facts[0]) == isl {
+			shared++
+		}
+	}
+	if st.Reused != shared || st.Reused+st.Recomputed != st.Components {
+		t.Fatalf("version %d: reuse accounting broken: %d reused (%d islands carried) + %d recomputed, %d components",
+			sn.Version(), st.Reused, shared, st.Recomputed, st.Components)
 	}
 	if st.CacheHits+st.CacheMisses > st.Recomputed {
 		t.Fatalf("version %d: cache traffic %d+%d exceeds the %d recomputed components",
