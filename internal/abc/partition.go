@@ -83,10 +83,13 @@ type Partition struct {
 // set, in the same deterministic order (sorted by smallest fact).
 func NewPartition(vs *constraint.Violations) *Partition {
 	islands := componentsOf(vs.ByID())
-	p := &Partition{idx: newFactTrie().with(indexEntries(nil, islands)), islands: len(islands), order: islands}
+	p := &Partition{islands: len(islands), order: islands}
+	facts := 0
 	for _, isl := range islands {
+		facts += len(isl.Facts)
 		p.violations += len(isl.vios)
 	}
+	p.idx = newFactTrie().with(indexEntries(make([]trieEntry, 0, facts), islands))
 	return p
 }
 
