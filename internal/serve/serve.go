@@ -141,15 +141,15 @@ func (sn *Snapshot) Stats() Stats { return sn.stats }
 // atomic pointer (readers never block, never see a half-applied ingest) and
 // funnels all ingests through a coordinator goroutine that re-maintains the
 // conflict partition (and with it the violations) and the factored
-// semantics with work proportional to the delta's touched region. The coordinator drains every
-// request queued behind the one it is serving into the same publication, so
-// N concurrent callers pay one recompute and one snapshot publish between
-// them; the touched islands are explored by core.ComputeFactoredDelta on the
-// Options.Workers pool, which carries every untouched component verbatim —
-// served answers are bit-identical for every worker count. The structural
-// semantics cache stays warm across deltas, so a recomputed component that
-// is isomorphic to anything ever explored costs one renaming, not a DAG
-// exploration.
+// semantics with work proportional to the delta's touched region. The
+// coordinator drains every request queued behind the one it is serving
+// into the same publication, so N concurrent callers pay one recompute and
+// one snapshot publish between them; the touched islands are explored by
+// core.ComputeFactoredDelta on the Options.Workers pool, which carries
+// every untouched component verbatim — served answers are bit-identical
+// for every worker count. The structural semantics cache stays warm across
+// deltas, so a recomputed component that is isomorphic to anything ever
+// explored costs one renaming, not a DAG exploration.
 type Server struct {
 	sigma *constraint.Set
 	gen   core.LocalGenerator
