@@ -122,8 +122,8 @@ func BenchmarkExactDAG(b *testing.B) {
 // the SAT backend on the huge-sequence-space / easy-structure cliques
 // family (g independent 3-fact violating key groups + 2 conflict-free
 // core keys; 4^g repairs): the DAG engine computes certain answers by
-// exploring every distinct database, the SAT engine by one CDCL solve
-// per candidate tuple over a CNF sized by the conflicted facts. The DAG
+// exploring every distinct database, the SAT engine by one witness-lineage
+// pass sized by the conflicted facts and the query's witnesses. The DAG
 // column stops where its state space explodes; the SAT column keeps
 // going at sizes (4^64 repairs) no chain engine can represent, and the
 // equivalence suite in internal/core proves the answers identical where

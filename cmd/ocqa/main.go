@@ -29,18 +29,19 @@
 // Practical mode derives the keys it repairs from the key-shaped
 // EGDs of the constraint file and runs rounds on a worker pool; factored
 // and practical results are bit-identical for any -workers. SAT mode
-// computes the certain answers only (tuples with probability 1), by
-// compiling "this tuple is NOT certain" to CNF per candidate — refuted
-// outright when the all-deleted repair satisfies it, otherwise decided by
-// an embedded CDCL solver — with no chain exploration at all, so it
-// scales past any sequence-space budget; -dimacs exports the
-// per-candidate formulas for external solvers.
+// computes the certain answers only (tuples with probability 1) from the
+// query's witness lineage: a candidate is certain iff some witness uses
+// no conflicted fact, since the chain can delete every violating group.
+// No chain is explored, so it scales past any sequence-space budget;
+// -dimacs exports each candidate's "this tuple is NOT certain" CNF for
+// external solvers.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,7 +64,7 @@ func main() {
 		sigmaPath = flag.String("constraints", "", "constraint file (TGDs/EGDs/DCs), or inline:<text>")
 		queryPath = flag.String("query", "", "query file (Q(X) := formula), or inline:<text>")
 		genName   = flag.String("gen", "uniform", "chain generator: "+cliutil.GeneratorNames())
-		mode      = flag.String("mode", "exact", "exact (full chain exploration), factored (per-component exact, Section 6 localization; atomic queries at any scale, conjunctive queries per lineage group), sat (certain answers via CNF + CDCL), approx (Theorem 9 sampling), or practical (Section 5 scheme)")
+		mode      = flag.String("mode", "exact", "exact (full chain exploration), factored (per-component exact, Section 6 localization; atomic queries at any scale, conjunctive queries per lineage group), sat (certain answers read off the witness lineage; -dimacs exports CNF), approx (Theorem 9 sampling), or practical (Section 5 scheme)")
 		semantics = flag.String("semantics", "walk", "distribution over complete sequences: walk (PODS '18 walk-induced) or uniform (PODS '22 sequence-uniform)")
 		eps       = flag.Float64("eps", 0.1, "additive error bound ε (approx/practical mode)")
 		delta     = flag.Float64("delta", 0.1, "failure probability δ (approx/practical mode)")
@@ -186,19 +187,14 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 			}
 			return err
 		}
-		fmt.Printf("sat encoding: %d violating groups, %d conflicted facts; base CNF %d vars, %d clauses\n",
-			res.Groups, enc.ConflictFacts(), res.Vars, res.Clauses)
-		fmt.Printf("candidates: %d witnessed tuples; %d certain via a conflict-free witness, %d refuted by the all-deleted repair, %d decided by the solver\n",
-			res.Candidates, res.Immediate, res.Refuted, res.Solved)
-		if res.Solved > 0 {
-			fmt.Printf("solver: %d decisions, %d propagations, %d conflicts, %d learned, %d restarts\n",
-				res.Stats.Decisions, res.Stats.Propagations, res.Stats.Conflicts, res.Stats.Learned, res.Stats.Restarts)
-		}
+		fmt.Printf("sat encoding: %d violating groups, %d conflicted facts\n", res.Groups, enc.ConflictFacts())
+		fmt.Printf("candidates: %d witnessed tuples; %d certain via a conflict-free witness, %d refuted by the all-deleted repair\n",
+			res.Candidates, res.Immediate, res.Refuted)
 		if dimacsDir != "" {
-			if err := exportDIMACS(enc, q, res.CandidateTuples, dimacsDir); err != nil {
+			if err := exportDIMACS(enc, q, dimacsDir); err != nil {
 				return err
 			}
-			fmt.Printf("dimacs: wrote %d candidate formulas to %s\n", len(res.CandidateTuples), dimacsDir)
+			fmt.Printf("dimacs: wrote %d candidate formulas to %s\n", res.Candidates, dimacsDir)
 		}
 		fmt.Println()
 		if len(res.Answers) == 0 {
@@ -290,26 +286,14 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 
 // exportDIMACS writes one DIMACS file per candidate tuple so the "tuple
 // is NOT certain" formulas can be handed to an external solver as a
-// cross-check of the embedded one.
-func exportDIMACS(enc *sat.Encoder, q *fo.Query, tuples [][]string, dir string) error {
+// cross-check of the lineage read.
+func exportDIMACS(enc *sat.Encoder, q *fo.Query, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for i, tup := range tuples {
-		path := filepath.Join(dir, fmt.Sprintf("candidate_%03d.cnf", i))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := enc.WriteTupleDIMACS(f, q, tup); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return enc.WriteDIMACS(q, func(i int, _ []string) (io.WriteCloser, error) {
+		return os.Create(filepath.Join(dir, fmt.Sprintf("candidate_%03d.cnf", i)))
+	})
 }
 
 func joinTuple(tuple []string) string {

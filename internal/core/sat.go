@@ -12,16 +12,12 @@ import (
 )
 
 // ComputeCertainSAT computes the certain answers of q — the tuples that
-// hold in every operational repair — by the SAT pipeline: one boolean
-// per conflicted fact, at-most-one clauses per violating key group,
-// witness clauses per candidate tuple. Witness clauses are all-negative
-// and every at-most-one clause has a negative literal, so the all-false
-// assignment (the repair deleting every conflicted fact) satisfies every
-// candidate formula: a candidate without a conflict-free witness is
-// refuted by that O(clauses) check, and the embedded CDCL solver
-// (internal/sat) runs only where the check fails (sat.Options.
-// MaximalRepairs). No chain exploration happens, so the answer is exact
-// even when the sequence space dwarfs the DAG budget.
+// hold in every operational repair — from the query's witness lineage
+// (sat.Encoder.CertainAnswers). The chain may delete every fact of a
+// violating key group, so the repair deleting every conflicted fact is
+// always reachable: a candidate is certain exactly when some witness uses
+// no conflicted fact. No chain exploration and no solver run, so the
+// answer is exact even when the sequence space dwarfs the DAG budget.
 //
 // The pipeline covers key-shaped EGD constraints and conjunctive queries
 // whose output variables all occur in the body; other inputs return
@@ -40,10 +36,10 @@ func ComputeCertainSAT(db *relation.Database, sigma *constraint.Set, q *fo.Query
 // Certain returns the certain answers of q over the factored semantics:
 // the tuples with conditional probability exactly 1. While every
 // enumeration fits the budget (for a conjunctive query, every lineage
-// group) this filters the exact OCA; beyond it (ErrEnumerationBudget) the
-// computation routes through the SAT engine, which answers the certain
-// question without enumerating repairs at all. The two paths are
-// pinned against each other by the cross-engine equivalence suite.
+// group) this filters the exact OCA; beyond it (ErrEnumerationBudget) it
+// reads them off the query's lineage through ComputeCertainSAT, which
+// enumerates no repair at all. The two paths are pinned against each
+// other by the cross-engine equivalence suite.
 func (f *Factored) Certain(q *fo.Query) ([][]string, error) {
 	as, err := f.OCA(q)
 	if err == nil {

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/abc"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/fo"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/markov"
 	"repro/internal/relation"
 	"repro/internal/repair"
-	"repro/internal/sat"
 	"repro/internal/workload"
 )
 
@@ -265,13 +265,12 @@ func TestFactoredCertainSATFallback(t *testing.T) {
 	}
 }
 
-// TestSATMatchesMaximalSemanticsOnly documents why the encoding uses
-// at-most-one and not the issue text's exactly-one: on a single
+// TestSATMatchesOperationalNotMaximal documents why certain answers
+// quantify over at-most-one and not exactly-one resolutions: on a single
 // 2-fact violating group the operational chain reaches the empty
 // resolution with positive probability, so the group's key is NOT
-// certain — which the chain engines and the at-most-one encoding agree
-// on, while an exactly-one (maximal-repair) encoding would call it
-// certain.
+// certain — which the chain engines and the SAT engine agree on, while
+// the classic maximal repairs (abc.CertainAnswers) call it certain.
 func TestSATMatchesOperationalNotMaximal(t *testing.T) {
 	d, sigma := workload.Cliques(workload.CliqueConfig{Groups: 1, GroupSize: 2, Core: 0, Seed: 1})
 	inst := repair.MustInstance(d, sigma)
@@ -294,15 +293,11 @@ func TestSATMatchesOperationalNotMaximal(t *testing.T) {
 		t.Fatalf("sat certain = %v, want empty", satRes.Answers)
 	}
 
-	enc, err := sat.NewEncoder(d, sigma, sat.Options{MaximalRepairs: true})
+	mx, err := abc.CertainAnswers(d, sigma, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := enc.CertainAnswers(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mx.Answers) != 1 {
-		t.Fatalf("maximal-repair certain = %v, want the group key", mx.Answers)
+	if len(mx) != 1 {
+		t.Fatalf("maximal-repair certain = %v, want the group key", mx)
 	}
 }

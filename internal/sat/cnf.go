@@ -12,16 +12,12 @@ type Var = int32
 // negation. Zero is not a literal.
 type Lit = int32
 
-// CNF is a formula in conjunctive normal form under construction. Clauses
-// added through Add are stored as given (the solver normalizes); the
-// builder also offers the cardinality encodings the certain-answer
-// compiler needs. A CNF is not safe for concurrent mutation.
+// CNF is a formula in conjunctive normal form under construction:
+// clauses as added, plus the cardinality encoding the DIMACS export
+// needs. A CNF is not safe for concurrent mutation.
 type CNF struct {
 	nv      int32
 	clauses [][]Lit
-	// hasEmpty records that an empty clause was added: the formula is
-	// trivially unsatisfiable and the solver short-circuits.
-	hasEmpty bool
 }
 
 // NewCNF returns an empty formula with n pre-allocated variables
@@ -48,15 +44,9 @@ func (c *CNF) NumClauses() int { return len(c.clauses) }
 // Add appends one clause (a disjunction of literals). The literal slice is
 // copied. An empty clause makes the formula unsatisfiable. Literals must
 // reference allocated variables; Add panics otherwise, since a silent
-// out-of-range literal would corrupt the solver's watch tables.
+// out-of-range literal would export an ill-formed DIMACS file.
 func (c *CNF) Add(lits ...Lit) {
-	if len(lits) == 0 {
-		c.hasEmpty = true
-		c.clauses = append(c.clauses, nil)
-		return
-	}
-	cl := make([]Lit, len(lits))
-	for i, l := range lits {
+	for _, l := range lits {
 		v := l
 		if v < 0 {
 			v = -v
@@ -64,40 +54,19 @@ func (c *CNF) Add(lits ...Lit) {
 		if v == 0 || v > c.nv {
 			panic(fmt.Sprintf("sat: literal %d references an unallocated variable (have %d)", l, c.nv))
 		}
-		cl[i] = l
 	}
-	c.clauses = append(c.clauses, cl)
+	c.clauses = append(c.clauses, append([]Lit(nil), lits...))
 }
 
 // Clone returns a copy sharing the (immutable) clause bodies: the clause
 // list itself is copied, so clauses added to the clone do not leak back.
-// The certain-answer compiler clones the shared group constraints once per
+// The DIMACS export clones the shared group constraints once per
 // candidate tuple and stacks the tuple's witness clauses on top.
 func (c *CNF) Clone() *CNF {
-	out := &CNF{nv: c.nv, hasEmpty: c.hasEmpty}
+	out := &CNF{nv: c.nv}
 	out.clauses = make([][]Lit, len(c.clauses), len(c.clauses)+8)
 	copy(out.clauses, c.clauses)
 	return out
-}
-
-// AllFalseModel reports whether the all-false assignment satisfies the
-// formula: every clause holds a negative literal. O(clauses), no search.
-func (c *CNF) AllFalseModel() bool {
-	for _, cl := range c.clauses {
-		if !hasNegative(cl) {
-			return false
-		}
-	}
-	return true
-}
-
-func hasNegative(cl []Lit) bool {
-	for _, l := range cl {
-		if l < 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // pairwiseAtMostOneLimit is the group size up to which at-most-one is
@@ -141,18 +110,6 @@ func (c *CNF) AtMostOne(vars []Var) {
 	for i := 1; i < n; i++ {
 		c.Add(-vars[i], -s[i-1]) // x_i ∧ s_{i-1} → ⊥
 	}
-}
-
-// ExactlyOne constrains exactly one of the variables to be true: AtMostOne
-// plus the covering clause x_1 ∨ ... ∨ x_n. An empty group is
-// unsatisfiable (the covering clause is empty).
-func (c *CNF) ExactlyOne(vars []Var) {
-	cover := make([]Lit, len(vars))
-	for i, v := range vars {
-		cover[i] = v
-	}
-	c.Add(cover...)
-	c.AtMostOne(vars)
 }
 
 // WriteDIMACS emits the formula in DIMACS CNF format, preceded by the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/abc"
 	"repro/internal/constraint"
 	"repro/internal/fo"
 	"repro/internal/logic"
@@ -18,10 +20,10 @@ import (
 
 // bruteCertain computes the certain answers by enumerating the repair
 // space directly: every combination of "keep at most one fact per
-// violating group" (or exactly one, for maximal repairs) over the
-// conflict-free backbone, intersecting the query answers. This is the
-// semantic ground truth the encoder must match; the equivalence suite in
-// internal/core separately pins it to the chain engines.
+// violating group" (or exactly one, for the classic maximal repairs)
+// over the conflict-free backbone, intersecting the query answers. This
+// is the semantic ground truth the encoder must match; the equivalence
+// suite in internal/core separately pins it to the chain engines.
 func bruteCertain(t *testing.T, db *relation.Database, sigma *constraint.Set, q *fo.Query, maximal bool) [][]string {
 	t.Helper()
 	cat := plan.NewCatalogOn(db)
@@ -123,9 +125,39 @@ func existsQuery(pred string) *fo.Query {
 		fo.Exists{Vars: []logic.Term{y}, F: fo.Atom{A: logic.NewAtom(pred, x, y)}})
 }
 
-// TestCertainAgainstBruteForce drives the full compile+solve pipeline
-// against subset enumeration on families with different conflict shapes,
-// under both repair-space options.
+// bufCloser is an in-memory export target.
+type bufCloser struct{ *bytes.Buffer }
+
+func (bufCloser) Close() error { return nil }
+
+// exported is one candidate formula written by Encoder.WriteDIMACS.
+type exported struct {
+	tuple []string
+	buf   *bytes.Buffer
+}
+
+func exportAll(t *testing.T, enc *sat.Encoder, q *fo.Query) []exported {
+	t.Helper()
+	var out []exported
+	err := enc.WriteDIMACS(q, func(i int, tuple []string) (io.WriteCloser, error) {
+		if i != len(out) {
+			t.Fatalf("formula %d opened after %d", i, len(out))
+		}
+		out = append(out, exported{tuple: tuple, buf: &bytes.Buffer{}})
+		return bufCloser{out[i].buf}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCertainAgainstBruteForce checks the lineage read against subset
+// enumeration on families with different conflict shapes, and pins the
+// meaning of every exported formula: decided by exhaustive assignment
+// enumeration, it is satisfiable exactly when its tuple is not certain.
+// The /maximal subtests pin abc.CertainAnswers, which covers the classic
+// maximal-repair space, against the exactly-one enumeration.
 func TestCertainAgainstBruteForce(t *testing.T) {
 	type inst struct {
 		name  string
@@ -176,73 +208,47 @@ func TestCertainAgainstBruteForce(t *testing.T) {
 	cases = append(cases, inst{"consistent", d5, s5, existsQuery("R")})
 
 	for _, tc := range cases {
-		for _, maximal := range []bool{false, true} {
-			name := tc.name
-			if maximal {
-				name += "/maximal"
+		t.Run(tc.name, func(t *testing.T) {
+			enc, err := sat.NewEncoder(tc.db, tc.sigma, sat.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				enc, err := sat.NewEncoder(tc.db, tc.sigma, sat.Options{MaximalRepairs: maximal})
+			res, err := enc.CertainAnswers(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteCertain(t, tc.db, tc.sigma, tc.q, false)
+			if !tuplesEqual(res.Answers, want) {
+				t.Fatalf("certain mismatch:\n sat  = %v\n brute= %v", res.Answers, want)
+			}
+			certain := map[string]bool{}
+			for _, tup := range want {
+				certain[fo.TupleKey(tup)] = true
+			}
+			files := exportAll(t, enc, tc.q)
+			if len(files) != res.Candidates {
+				t.Fatalf("exported %d formulas for %d candidates", len(files), res.Candidates)
+			}
+			for _, f := range files {
+				satisfiable, err := sat.SatisfiableDIMACS(strings.NewReader(f.buf.String()))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%v: %v\n%s", f.tuple, err, f.buf.String())
 				}
-				res, err := enc.CertainAnswers(tc.q)
-				if err != nil {
-					t.Fatal(err)
+				if satisfiable == certain[fo.TupleKey(f.tuple)] {
+					t.Fatalf("%v: formula satisfiable=%v, brute-force certain=%v\n%s",
+						f.tuple, satisfiable, certain[fo.TupleKey(f.tuple)], f.buf.String())
 				}
-				want := bruteCertain(t, tc.db, tc.sigma, tc.q, maximal)
-				if !tuplesEqual(res.Answers, want) {
-					t.Fatalf("certain mismatch:\n sat  = %v\n brute= %v", res.Answers, want)
-				}
-				// Per-tuple Certain must agree with the set computation,
-				// including on a non-candidate tuple.
-				for _, tup := range res.Answers {
-					ok, err := enc.Certain(tc.q, tup)
-					if err != nil || !ok {
-						t.Fatalf("Certain(%v) = %v, %v; want true", tup, ok, err)
-					}
-				}
-				if !tc.q.IsBoolean() {
-					ok, err := enc.Certain(tc.q, []string{"no-such-constant"})
-					if err != nil || ok {
-						t.Fatalf("Certain(no-such-constant) = %v, %v; want false", ok, err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestMaximalGrowsCertainSet: the "trust neither" resolution is what
-// makes violating keys uncertain operationally; excluding it (maximal
-// repairs) must make every key of every group certain again for the
-// exists-query.
-func TestMaximalRepairsGrowCertainSet(t *testing.T) {
-	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 3, GroupSize: 3, Core: 2, Seed: 1})
-	q := existsQuery("R")
-
-	op, err := sat.NewEncoder(db, sigma, sat.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opRes, err := op.CertainAnswers(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opRes.Answers) != 2 {
-		t.Fatalf("operational certain = %v, want exactly the 2 core keys", opRes.Answers)
-	}
-
-	mx, err := sat.NewEncoder(db, sigma, sat.Options{MaximalRepairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mxRes, err := mx.CertainAnswers(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mxRes.Answers) != 5 {
-		t.Fatalf("maximal certain = %v, want all 5 keys", mxRes.Answers)
+			}
+		})
+		t.Run(tc.name+"/maximal", func(t *testing.T) {
+			got, err := abc.CertainAnswers(tc.db, tc.sigma, tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteCertain(t, tc.db, tc.sigma, tc.q, true); !tuplesEqual(got, want) {
+				t.Fatalf("maximal certain mismatch:\n abc  = %v\n brute= %v", got, want)
+			}
+		})
 	}
 }
 
@@ -325,51 +331,35 @@ func TestEmptySigma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Groups != 0 || res.Solved != 0 || len(res.Answers) != 3 {
-		t.Fatalf("empty sigma: groups=%d solved=%d answers=%v", res.Groups, res.Solved, res.Answers)
+	if res.Groups != 0 || len(res.Answers) != 3 {
+		t.Fatalf("empty sigma: groups=%d answers=%v", res.Groups, res.Answers)
 	}
 }
 
-// TestWriteTupleDIMACS exercises the three export shapes: a solver-backed
-// formula, a conflict-free-witness tuple, and a non-candidate tuple.
+// TestWriteTupleDIMACS exercises the two export shapes: a conflicted
+// tuple's formula and a conflict-free-witness tuple's empty clause.
 func TestWriteTupleDIMACS(t *testing.T) {
 	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 1, GroupSize: 2, Core: 1, Seed: 1})
 	enc, err := sat.NewEncoder(db, sigma, sat.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := existsQuery("R")
-
-	var buf bytes.Buffer
-	if err := enc.WriteTupleDIMACS(&buf, q, []string{"g0"}); err != nil {
-		t.Fatal(err)
+	files := exportAll(t, enc, existsQuery("R"))
+	if len(files) != 2 || files[0].tuple[0] != "c0" || files[1].tuple[0] != "g0" {
+		t.Fatalf("exported %d formulas: %+v", len(files), files)
 	}
-	out := buf.String()
+	if !strings.Contains(files[0].buf.String(), "p cnf 0 1\n0\n") {
+		t.Errorf("certain tuple should export the empty clause:\n%s", files[0].buf.String())
+	}
+	out := files[1].buf.String()
 	if !strings.Contains(out, "p cnf ") || !strings.Contains(out, "c var 1 = keep R(") {
 		t.Errorf("conflicted-tuple export missing header/comments:\n%s", out)
-	}
-
-	buf.Reset()
-	if err := enc.WriteTupleDIMACS(&buf, q, []string{"c0"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "p cnf 0 1\n0\n") {
-		t.Errorf("certain tuple should export the empty clause:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	if err := enc.WriteTupleDIMACS(&buf, q, []string{"nowhere"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "p cnf 0 0") {
-		t.Errorf("non-candidate tuple should export the empty formula:\n%s", buf.String())
 	}
 }
 
 // TestResultAccounting sanity-checks the CertainResult counters on an
-// instance where they are all predictable: every candidate is decided by
-// exactly one of the three routes, and on the default at-most-one repair
-// space the all-deleted repair refutes every group key without a solver.
+// instance where they are all predictable: every group key is refuted by
+// the all-deleted repair, every core key is certain.
 func TestResultAccounting(t *testing.T) {
 	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 4, GroupSize: 3, Core: 2, Seed: 9})
 	enc, err := sat.NewEncoder(db, sigma, sat.Options{})
@@ -383,45 +373,16 @@ func TestResultAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Immediate+res.Refuted+res.Solved != res.Candidates {
-		t.Fatalf("Immediate %d + Refuted %d + Solved %d != Candidates %d", res.Immediate, res.Refuted, res.Solved, res.Candidates)
+	if res.Immediate+res.Refuted != res.Candidates {
+		t.Fatalf("Immediate %d + Refuted %d != Candidates %d", res.Immediate, res.Refuted, res.Candidates)
 	}
 	// 6 candidate keys: 4 group keys (refuted by the all-deleted repair) +
 	// 2 core keys (immediate).
-	if res.Candidates != 6 || res.Immediate != 2 || res.Refuted != 4 || res.Solved != 0 || len(res.Answers) != 2 {
+	if res.Candidates != 6 || res.Immediate != 2 || res.Refuted != 4 || len(res.Answers) != 2 {
 		t.Fatalf("accounting: %+v", res)
 	}
 	if res.Stats != (sat.Stats{}) {
-		t.Errorf("no solver ran, yet stats = %+v", res.Stats)
-	}
-}
-
-// TestMaximalRepairsReachesSolver: under exactly-one the covering clauses
-// are all-positive, so the all-false check fails and every group key goes
-// to the solver (SAT: not certain).
-func TestMaximalRepairsReachesSolver(t *testing.T) {
-	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 4, GroupSize: 3, Core: 2, Seed: 9})
-	enc, err := sat.NewEncoder(db, sigma, sat.Options{MaximalRepairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := enc.CertainAnswers(existsQuery("R"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every group keeps exactly one fact, and every fact of a group has the
-	// group's key: all 6 keys are certain.
-	if res.Candidates != 6 || res.Immediate != 2 || res.Refuted != 0 || res.Solved != 4 || len(res.Answers) != 6 {
-		t.Fatalf("accounting: %+v", res)
-	}
-	if res.Stats.Propagations == 0 {
-		t.Error("expected some solver propagations")
-	}
-	for _, tup := range res.CandidateTuples {
-		ok, err := enc.Certain(existsQuery("R"), tup)
-		if err != nil || !ok {
-			t.Errorf("Certain(%v) = %v, %v; want certain", tup, ok, err)
-		}
+		t.Errorf("stats = %+v, want zero", res.Stats)
 	}
 }
 

@@ -1,9 +1,11 @@
 package sat
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
-	"math/rand"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,9 +21,6 @@ func bruteSAT(c *CNF) bool {
 // cardinality encodings, whose auxiliaries must not add or remove
 // projected models).
 func bruteCount(c *CNF, keep []Var) int {
-	if c.hasEmpty {
-		return 0
-	}
 	n := c.NumVars()
 	if n > 22 {
 		panic("bruteCount: too many variables")
@@ -71,84 +70,6 @@ func bruteCount(c *CNF, keep []Var) int {
 	return count
 }
 
-// modelSatisfies checks a solver model against the original CNF.
-func modelSatisfies(c *CNF, model []bool) bool {
-	for _, cl := range c.clauses {
-		ok := false
-		for _, l := range cl {
-			if l > 0 && model[l] || l < 0 && !model[-l] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSolverAgainstBruteForce cross-checks the CDCL solver against
-// exhaustive enumeration on random 3-ish-CNF instances across the
-// under/over-constrained spectrum, and validates returned models.
-func TestSolverAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 500; trial++ {
-		nv := 1 + rng.Intn(12)
-		// Clause/variable ratios spanning easy-SAT to easy-UNSAT around
-		// the ~4.26 threshold.
-		nc := 1 + rng.Intn(6*nv)
-		c := NewCNF(nv)
-		for i := 0; i < nc; i++ {
-			k := 1 + rng.Intn(3)
-			lits := make([]Lit, k)
-			for j := range lits {
-				v := Lit(1 + rng.Intn(nv))
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				lits[j] = v
-			}
-			c.Add(lits...)
-		}
-		want := bruteSAT(c)
-		s := NewSolver(c)
-		got := s.Solve()
-		if got != want {
-			t.Fatalf("trial %d (nv=%d nc=%d): solver=%v brute=%v", trial, nv, nc, got, want)
-		}
-		if got && !modelSatisfies(c, s.Model()) {
-			t.Fatalf("trial %d: solver returned a non-model", trial)
-		}
-	}
-}
-
-// TestSolverDeterministic: same formula, same verdict, same model, same
-// statistics — the solver has no hidden nondeterminism.
-func TestSolverDeterministic(t *testing.T) {
-	build := func() *CNF {
-		c := NewCNF(10)
-		for i := 0; i < 35; i++ {
-			a, b, d := Lit(1+i%10), Lit(1+(i*3)%10), Lit(1+(i*7)%10)
-			c.Add(a, -b, d)
-		}
-		return c
-	}
-	s1, s2 := NewSolver(build()), NewSolver(build())
-	r1, r2 := s1.Solve(), s2.Solve()
-	if r1 != r2 || s1.Stats != s2.Stats {
-		t.Fatalf("nondeterministic solve: %v/%v stats %+v vs %+v", r1, r2, s1.Stats, s2.Stats)
-	}
-	if r1 {
-		m1, m2 := s1.Model(), s2.Model()
-		for i := range m1 {
-			if m1[i] != m2[i] {
-				t.Fatalf("models differ at var %d", i)
-			}
-		}
-	}
-}
-
 // TestAtMostOne checks the cardinality encoding by projected model
 // counting on both sides of the pairwise/sequential threshold: the
 // number of projected models must be n+1 (each singleton plus all-false),
@@ -173,7 +94,7 @@ func TestAtMostOne(t *testing.T) {
 			forced := c.Clone()
 			forced.Add(vars[0])
 			forced.Add(vars[n-1])
-			if s := NewSolver(forced); s.Solve() {
+			if bruteSAT(forced) {
 				t.Errorf("AtMostOne(%d): two forced trues still satisfiable", n)
 			}
 		}
@@ -181,124 +102,98 @@ func TestAtMostOne(t *testing.T) {
 		for _, v := range vars {
 			forced := c.Clone()
 			forced.Add(v)
-			if s := NewSolver(forced); !s.Solve() {
+			if !bruteSAT(forced) {
 				t.Errorf("AtMostOne(%d): singleton %d unsatisfiable", n, v)
 			}
 		}
 	}
 }
 
-// TestExactlyOne mirrors TestAtMostOne: exactly n projected models, the
-// all-false assignment excluded.
-func TestExactlyOne(t *testing.T) {
-	for n := 1; n <= pairwiseAtMostOneLimit+3; n++ {
-		c := NewCNF(n)
-		vars := make([]Var, n)
-		for i := range vars {
-			vars[i] = Var(i + 1)
-		}
-		c.ExactlyOne(vars)
-		if got := bruteCount(c, vars); got != n {
-			t.Errorf("ExactlyOne(%d): %d projected models, want %d", n, got, n)
-		}
-		allFalse := c.Clone()
-		for _, v := range vars {
-			allFalse.Add(-v)
-		}
-		if s := NewSolver(allFalse); s.Solve() {
-			t.Errorf("ExactlyOne(%d): all-false still satisfiable", n)
-		}
-	}
-}
-
-// TestUnitPropagation: an implication chain resolves by propagation
-// alone — zero decisions and zero conflicts.
-func TestUnitPropagation(t *testing.T) {
-	const n = 40
-	c := NewCNF(n)
-	c.Add(1)
-	for v := Lit(1); v < n; v++ {
-		c.Add(-v, v+1) // v → v+1
-	}
-	s := NewSolver(c)
-	if !s.Solve() {
-		t.Fatal("implication chain should be satisfiable")
-	}
-	for v := 1; v <= n; v++ {
-		if !s.Model()[v] {
-			t.Fatalf("var %d should be forced true", v)
-		}
-	}
-	if s.Stats.Decisions != 0 || s.Stats.Conflicts != 0 {
-		t.Fatalf("chain should solve by pure propagation, got %+v", s.Stats)
-	}
-
-	// Close the chain with ¬x_n: contradiction at level 0.
-	c2 := NewCNF(n)
-	c2.Add(1)
-	for v := Lit(1); v < n; v++ {
-		c2.Add(-v, v+1)
-	}
-	c2.Add(-Lit(n))
-	if s := NewSolver(c2); s.Solve() {
-		t.Fatal("contradictory chain should be unsatisfiable")
-	}
-}
-
-// TestConflictLearning: pigeonhole instances are UNSAT and force the
-// solver through genuine conflict analysis (learned clauses > 0).
-func TestConflictLearning(t *testing.T) {
-	for _, holes := range []int{3, 4, 5} {
-		pigeons := holes + 1
-		c := NewCNF(pigeons * holes)
-		x := func(p, h int) Lit { return Lit(p*holes + h + 1) }
-		for p := 0; p < pigeons; p++ {
-			row := make([]Lit, holes)
-			for h := 0; h < holes; h++ {
-				row[h] = x(p, h)
+// parseDIMACS reads a DIMACS CNF file back into a formula, so tests can
+// decide an exported file by bruteSAT. Comment lines are skipped; the
+// header's variable and clause counts must match the body.
+func parseDIMACS(r io.Reader) (*CNF, error) {
+	var c *CNF
+	wantClauses := 0
+	var cl []Lit
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		switch {
+		case len(fields) == 0 || fields[0] == "c":
+			continue
+		case fields[0] == "p":
+			if c != nil || len(fields) != 4 || fields[1] != "cnf" {
+				return nil, fmt.Errorf("bad header %q", sc.Text())
 			}
-			c.Add(row...)
-		}
-		for h := 0; h < holes; h++ {
-			for p := 0; p < pigeons; p++ {
-				for q := p + 1; q < pigeons; q++ {
-					c.Add(-x(p, h), -x(q, h))
-				}
+			nv, err1 := strconv.Atoi(fields[2])
+			nc, err2 := strconv.Atoi(fields[3])
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("bad header %q", sc.Text())
 			}
+			c, wantClauses = NewCNF(nv), nc
+			continue
+		case c == nil:
+			return nil, fmt.Errorf("clause before header: %q", sc.Text())
 		}
-		s := NewSolver(c)
-		if s.Solve() {
-			t.Fatalf("PHP(%d,%d) should be UNSAT", pigeons, holes)
-		}
-		if s.Stats.Learned == 0 || s.Stats.Conflicts == 0 {
-			t.Fatalf("PHP(%d,%d): expected learned conflict clauses, got %+v", pigeons, holes, s.Stats)
+		for _, f := range fields {
+			l, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, err
+			}
+			if l == 0 {
+				c.Add(cl...)
+				cl = cl[:0]
+				continue
+			}
+			cl = append(cl, Lit(l))
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if c == nil || len(cl) != 0 || c.NumClauses() != wantClauses {
+		return nil, fmt.Errorf("truncated DIMACS input")
+	}
+	return c, nil
 }
 
 // TestDegenerateInputs: empty formulas, empty clauses, contradictory
-// units, tautologies, and duplicate literals.
+// units, tautologies and duplicate literals keep their meaning through
+// the DIMACS export.
 func TestDegenerateInputs(t *testing.T) {
-	if s := NewSolver(NewCNF(0)); !s.Solve() {
+	roundTrip := func(c *CNF) *CNF {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.WriteDIMACS(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := parseDIMACS(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	if !bruteSAT(roundTrip(NewCNF(0))) {
 		t.Error("empty formula should be SAT")
 	}
 	c := NewCNF(3)
 	c.Add()
-	if s := NewSolver(c); s.Solve() {
+	if bruteSAT(roundTrip(c)) {
 		t.Error("empty clause should be UNSAT")
 	}
 	c = NewCNF(1)
 	c.Add(1)
 	c.Add(-1)
-	if s := NewSolver(c); s.Solve() {
+	if bruteSAT(roundTrip(c)) {
 		t.Error("contradictory units should be UNSAT")
 	}
 	c = NewCNF(2)
-	c.Add(1, -1) // tautology: dropped
+	c.Add(1, -1)
 	c.Add(2, 2, 2)
-	s := NewSolver(c)
-	if !s.Solve() || !s.Model()[2] {
-		t.Error("tautology+duplicate handling broken")
+	c.Add(-2, 1)
+	if got := bruteCount(roundTrip(c), nil); got != 1 {
+		t.Errorf("tautology+duplicate formula: %d models, want 1", got)
 	}
 }
 
@@ -319,13 +214,13 @@ func TestCloneIsolation(t *testing.T) {
 	cl := c.Clone()
 	cl.Add(-1)
 	cl.Add(-2)
-	if s := NewSolver(cl); s.Solve() {
+	if bruteSAT(cl) {
 		t.Error("clone with both negations should be UNSAT")
 	}
 	if c.NumClauses() != 1 {
 		t.Errorf("clone leaked clauses into parent: %d", c.NumClauses())
 	}
-	if s := NewSolver(c); !s.Solve() {
+	if !bruteSAT(c) {
 		t.Error("parent should still be SAT")
 	}
 }
@@ -342,36 +237,6 @@ func TestWriteDIMACS(t *testing.T) {
 	want := "c hello\np cnf 3 2\n1 -2 0\n2 3 0\n"
 	if buf.String() != want {
 		t.Errorf("DIMACS output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
-// TestRestarts drives the solver into its restart schedule on a hard
-// instance and checks it still terminates with the right verdict.
-func TestRestarts(t *testing.T) {
-	holes := 7
-	pigeons := holes + 1
-	c := NewCNF(pigeons * holes)
-	x := func(p, h int) Lit { return Lit(p*holes + h + 1) }
-	for p := 0; p < pigeons; p++ {
-		row := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			row[h] = x(p, h)
-		}
-		c.Add(row...)
-	}
-	for h := 0; h < holes; h++ {
-		for p := 0; p < pigeons; p++ {
-			for q := p + 1; q < pigeons; q++ {
-				c.Add(-x(p, h), -x(q, h))
-			}
-		}
-	}
-	s := NewSolver(c)
-	if s.Solve() {
-		t.Fatalf("PHP(%d,%d) should be UNSAT", pigeons, holes)
-	}
-	if s.Stats.Restarts == 0 {
-		t.Logf("note: PHP(%d,%d) solved without restarting (%d conflicts)", pigeons, holes, s.Stats.Conflicts)
 	}
 }
 
