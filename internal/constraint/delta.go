@@ -339,6 +339,18 @@ func (vs *Violations) DeleteFacts(deleted []relation.Fact, gone []Violation) []V
 	return vs.appendUndeleted(run, deleted, gone)
 }
 
+// WithoutFacts returns, as a new set, the violation set left once the
+// given facts are deleted from the database. It applies the EGD/DC
+// deletion rule of DeleteFacts without modifying vs, and copies only the
+// survivors.
+func (vs *Violations) WithoutFacts(deleted []relation.Fact) *Violations {
+	vs.norm()
+	out := &Violations{sorted: true}
+	var goneBuf [16]Violation
+	out.appendUndeleted(vs.vs, deleted, goneBuf[:0])
+	return out
+}
+
 // Clone returns a copy of vs that shares no storage with it. Unlike
 // ViolationsOf it copies an already normalized set verbatim, with no
 // re-sort or dedup pass: walks clone the root set once per walk.

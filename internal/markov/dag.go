@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/ops"
 	"repro/internal/prob"
-	"repro/internal/relation"
 	"repro/internal/repair"
 )
 
@@ -24,35 +24,38 @@ import (
 // mass along edges computed once per node, instead of once per sequence
 // prefix.
 //
-// Topological order comes for free: every operation of a TGD-free chain is
-// a deletion, so each edge strictly shrinks the database and the nodes
-// partition into levels by database size. A node's mass is complete once
-// every strictly larger level has been processed, so the engine sweeps
-// sizes downward.
+// Without TGDs every operation deletes facts of a current violation and no
+// deletion creates one, so every reachable database is the initial one
+// minus a set of the root's conflicted facts. A node is therefore named by
+// its conflict key (repair.ConflictIndex): the bitset of the conflicted
+// facts it still holds. An edge's child key is the parent's with the
+// operation's bits cleared, and a node's extensions are the root's
+// filtered by the key, so no edge and no interior node ever needs a
+// database. Topological order comes for free: each edge clears at least
+// one bit, so the nodes partition into levels by popcount, and a node's
+// mass is complete once every higher level has been processed; the engine
+// sweeps the levels downward.
 //
-// States are merged by the packed binary Database.IDKey encoding, derived
-// incrementally: each state caches its sorted fact ids (repair.FactIDs) and
-// a child's key is the parent's minus the deleted entry — one binary search
-// plus two packed runs (State.AppendChildIDKey), never a re-enumeration of
-// the database. The human-readable Database.Key() appears only at the
-// presentation boundary: DAGLeaf.Key is converted once per absorbing
-// database when the leaf is emitted.
-//
-// Each level is processed in three phases by sweep, which ExploreDAG and
-// BuildSequenceDAG share. Phase 1 (parallel): every frontier node resolves
-// its edges via stepRats and derives each edge's packed
-// child key into a per-node byte arena — no child states yet. Phase 2
+// Each level is processed in two phases by sweep, which ExploreDAG and
+// BuildSequenceDAG share, over sorted chunks of the frontier (128 nodes
+// per worker), so the phase 1 buffers stay a chunk's size. Phase 1
+// (parallel): every frontier node gets its state — the
+// repair.State.DeferredChild of its creator edge, holding the key's
+// extension list but no database — resolves its edges via stepRats and
+// writes each edge's child key into its worker's byte arena. Phase 2
 // (sequential, sorted-key order): edges are merged into child nodes,
 // accumulating π with the small-rational fast path (prob.Rat) and sequence
-// counts, and recording, for every *distinct* new child database, the
-// deterministic (first in merge order) parent edge that creates it. Phase 3
-// (parallel): only those creator edges materialize child states via
-// repair.Child — one state per distinct database instead of one per edge.
-// Phase 2's merge order is independent of scheduling and exact rational
-// arithmetic is order-insensitive, so the result is bit-identical for every
-// worker count. Once a level is merged its non-absorbing states are
-// dropped, so retained memory tracks the live frontier (plus the witness
-// chains pinned by it), not the whole DAG.
+// counts with the small-integer one (prob.Count), and recording, for every
+// *distinct* new child, the deterministic (first in merge order) edge that
+// creates it. A deferred state builds its database and violations from the
+// root on first read, so generators that look only at the extensions
+// (uniform, uniform-deletions) build none at interior nodes, and absorbing
+// databases are built once, when their leaf is emitted — the only place
+// the human-readable Database.Key() is computed. Phase 2's merge order is
+// independent of scheduling and exact arithmetic is order-insensitive, so
+// the result is bit-identical for every worker count. Once a level is
+// merged its nodes are recycled, so retained memory tracks the live
+// frontier (plus the witness chains pinned by it), not the whole DAG.
 //
 // The propagated per-leaf sequence counts are load-bearing beyond
 // statistics: the sequence-uniform semantics (core.ComputeDAGMode with
@@ -101,49 +104,77 @@ type DAG struct {
 	Sequences *big.Int
 }
 
+// ErrPanicked is returned when a generator (or anything else a frontier
+// expansion runs) panics: the sweep recovers the panic on the worker and
+// fails the exploration with an error naming the state, whatever the
+// worker count.
+var ErrPanicked = errors.New("markov: panic during frontier expansion")
+
 // dagNode accumulates a distinct state's incoming mass until its level is
-// processed. Nodes are carved from slabs (takeNode) and recycled through a
+// processed. Nodes are carved from slabs (nodeArena) and recycled through a
 // free list once their level is merged — absorbing nodes included, whose
 // accumulators are copied out into the emitted DAGLeaf first — so nothing
-// a node owns outlives the exploration and the embedded seqs big.Int keeps
-// its storage across reuses.
+// a node owns outlives the exploration.
 type dagNode struct {
-	state *repair.State
-	// key is the node's packed id key — the same string the level map is
+	// state is nil until phase 1 builds it from the creator edge
+	// (parent, op); the root starts with its state.
+	state  *repair.State
+	parent *repair.State
+	op     ops.Op
+	// key is the node's conflict key — the same string the level map is
 	// keyed by, so retaining it costs a pointer (seqdag.go relies on this
 	// sharing for its child references).
 	key  string
 	pi   prob.Rat
-	seqs big.Int
+	seqs prob.Count
 	// seqsByLen[l] counts the sequences of length l reaching the node; only
 	// maintained under ExploreOptions.TrackLengths.
 	seqsByLen []*big.Int
 }
 
-// expansion is phase 1's per-node result: the node's outgoing edges and the
-// packed id key of each edge's child database, derived incrementally from
-// the parent (no child state is materialized here). keyOff[j]:keyOff[j+1]
-// bounds edge j's key in arena; arena, keyOff and the generator's weight
-// buffer are reused across levels.
+// expansion is phase 1's per-node result: the node's outgoing edges are
+// wks[w].edges[lo:hi], and edge k's child conflict key is the k-th key of
+// wks[w].keys.
 type expansion struct {
+	w, lo, hi int
+	err       error
+}
+
+// worker is one phase 1 goroutine's storage. Expansions append their edges
+// and child keys here instead of into per-node buffers, so a chunk of a
+// level costs no allocation once the buffers have grown; edges and keys
+// are reset per chunk, weights and exts per node. slab is never reused:
+// the extension lists of new states are carved from it and stay with the
+// states.
+type worker struct {
 	edges   []ratEdge
 	weights []int64
-	keyOff  []int
-	arena   []byte
-	err     error
+	exts    []ops.Op
+	keys    []byte
+	slab    []ops.Op
+	slabLen int
 }
 
-// childKey returns edge j's packed child database key.
-func (exp *expansion) childKey(j int) []byte {
-	return exp.arena[exp.keyOff[j]:exp.keyOff[j+1]]
-}
-
-// creator records the deterministic (parent, op) edge chosen to materialize
-// a distinct child database's state in phase 3.
-type creator struct {
-	parent *dagNode
-	child  *dagNode
-	op     ops.Op
+// carve copies exts into slab storage owned by the caller from now on.
+func (wk *worker) carve(exts []ops.Op) []ops.Op {
+	if len(exts) == 0 {
+		return nil
+	}
+	if len(wk.slab) < len(exts) {
+		// Grow geometrically, as nodeArena does: the factored engine runs
+		// thousands of few-state sweeps.
+		switch {
+		case wk.slabLen == 0:
+			wk.slabLen = 64
+		case wk.slabLen < 4096:
+			wk.slabLen *= 4
+		}
+		wk.slab = make([]ops.Op, max(wk.slabLen, len(exts)))
+	}
+	out := wk.slab[:len(exts):len(exts)]
+	copy(out, exts)
+	wk.slab = wk.slab[len(exts):]
+	return out
 }
 
 // ExploreDAG explores the support of a Collapsible chain M_Σ(D) merged by
@@ -162,19 +193,20 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 		if len(edges) > 0 {
 			return
 		}
-		// Absorbing: convert the packed merge key to the canonical string
-		// key — the engine's only legacy-key encoding, once per distinct
-		// absorbing database — and copy the accumulators out, so the node
-		// itself can be recycled.
+		// Absorbing: build the database (the deferred state's first read)
+		// and its canonical string key, once per distinct absorbing
+		// database, and copy the accumulators out, so the node itself can
+		// be recycled.
+		seqs := n.seqs.Big()
 		dag.Leaves = append(dag.Leaves, DAGLeaf{
 			State: n.state, Key: n.state.Result().Key(), Pi: n.pi.Big(),
-			Sequences: new(big.Int).Set(&n.seqs), SeqsByLength: n.seqsByLen,
+			Sequences: seqs, SeqsByLength: n.seqsByLen,
 		})
-		dag.Sequences.Add(dag.Sequences, &n.seqs)
+		dag.Sequences.Add(dag.Sequences, seqs)
 		total.Add(&n.pi)
 	}, func(n, cn *dagNode, e *ratEdge) {
 		cn.pi.AddMulRat(&n.pi, &e.p)
-		cn.seqs.Add(&cn.seqs, &n.seqs)
+		cn.seqs.Add(&n.seqs)
 		if opt.TrackLengths {
 			// Every edge is one operation: sequences of length l at the
 			// parent extend to length l+1 at the child.
@@ -197,7 +229,7 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 
 // sweep is the downward level sweep shared by ExploreDAG and
 // BuildSequenceDAG: it merges the states of a Collapsible chain by
-// database and processes the levels in decreasing size, in the three
+// conflict key and processes the levels in decreasing popcount, in the two
 // phases described at the top of this file. visit is called once per
 // distinct database, in sweep order, with its node and resolved edges
 // (none at an absorbing database); edge is then called once per edge with
@@ -210,39 +242,42 @@ func sweep(inst *repair.Instance, g Generator, opt ExploreOptions,
 	if !Collapsible(inst, g) {
 		return 0, 0, fmt.Errorf("%w (generator %s)", ErrNotCollapsible, g.Name())
 	}
+	ix, err := repair.NewConflictIndex(inst)
+	if err != nil {
+		return 0, 0, err
+	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	root := inst.Root()
-	rootSize := root.Result().Size()
-	rootKey := string(relation.AppendIDKey(make([]byte, 0, 4*rootSize), root.FactIDs()))
-	rootNode := &dagNode{state: root, key: rootKey, pi: prob.RatOne()}
-	rootNode.seqs.SetInt64(1)
+	rootKey := ix.RootKey()
+	rootNode := &dagNode{state: ix.Root(), key: rootKey, pi: prob.RatOne(), seqs: prob.CountOne()}
 	if opt.TrackLengths {
 		rootNode.seqsByLen = []*big.Int{big.NewInt(1)} // the empty sequence
 	}
-	// levels[n] holds the pending nodes whose database has n facts; edges
-	// only shrink the database, so sizes range over [0, rootSize] and a
-	// slice indexed by size replaces a map of levels.
-	levels := make([]map[string]*dagNode, rootSize+1)
-	levels[rootSize] = map[string]*dagNode{rootKey: rootNode}
+	// levels[n] holds the pending nodes that still hold n conflicted facts
+	// (the popcount of their key); edges only clear bits, so a slice
+	// indexed by popcount replaces a map of levels.
+	top := ix.Conflicted()
+	levels := make([]map[string]*dagNode, top+1)
+	levels[top] = map[string]*dagNode{rootKey: rootNode}
 	states = 1
 
 	// Per-level scratch, reused across the sweep: the sorted frontier, its
-	// expansions (each with its key arena), the new-database creator list,
-	// and the dagNode free list.
+	// expansions, the phase 1 workers' buffers, and the dagNode free list.
 	var (
-		nodes    []*dagNode
-		exps     []expansion
-		creators []creator
-		arena    nodeArena
+		nodes []*dagNode
+		exps  []expansion
+		arena nodeArena
 	)
+	wks := make([]worker, workers)
+	keyLen := len(rootKey)
+	chunk := 128 * workers
 
-	for size := rootSize; size >= 0; size-- {
-		level := levels[size]
-		levels[size] = nil
+	for held := top; held >= 0; held-- {
+		level := levels[held]
+		levels[held] = nil
 		if len(level) == 0 {
 			continue
 		}
@@ -252,58 +287,59 @@ func sweep(inst *repair.Instance, g Generator, opt ExploreOptions,
 		}
 		// Sequential merge in sorted-key order: deterministic leaf order
 		// and mass accumulation independent of scheduling.
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
+		slices.SortFunc(nodes, func(a, b *dagNode) int { return strings.Compare(a.key, b.key) })
 
-		exps = expandLevel(g, nodes, exps, workers)
-
-		creators = creators[:0]
-		for i, n := range nodes {
-			exp := &exps[i]
-			if exp.err != nil {
-				return 0, 0, exp.err
-			}
-			visit(n, exp.edges)
-			for j := range exp.edges {
-				e := &exp.edges[j]
-				ck := exp.childKey(j)
-				csize := len(ck) / 4
-				if csize >= size {
-					// Cannot happen for a TGD-free chain (every op deletes);
-					// guard the topological order rather than corrupt masses.
-					return 0, 0, fmt.Errorf("%w: operation %s grew the database", ErrNotCollapsible, e.op)
+		// The level runs in sorted chunks, each expanded in parallel and
+		// then merged: the merge order is the sorted order whatever the
+		// chunking, and the workers' buffers stay a chunk's size.
+		for lo := 0; lo < len(nodes); lo += chunk {
+			part := nodes[lo:min(lo+chunk, len(nodes))]
+			exps = expandChunk(ix, g, part, exps, wks)
+			for i, n := range part {
+				exp := &exps[i]
+				if exp.err != nil {
+					return 0, 0, exp.err
 				}
-				edges++
-				lvl := levels[csize]
-				if lvl == nil {
-					lvl = map[string]*dagNode{}
-					levels[csize] = lvl
-				}
-				cn, ok := lvl[string(ck)] // compiles to a no-alloc lookup
-				if !ok {
-					cn = arena.take()
-					cn.key = string(ck) // the one key allocation per distinct database
-					lvl[cn.key] = cn
-					creators = append(creators, creator{parent: n, child: cn, op: e.op})
-					states++
-					if opt.MaxStates > 0 && states > opt.MaxStates {
-						return 0, 0, ErrStateBudget
+				wk := &wks[exp.w]
+				out := wk.edges[exp.lo:exp.hi]
+				visit(n, out)
+				for j := range out {
+					e := &out[j]
+					k := (exp.lo + j) * keyLen
+					ck := wk.keys[k : k+keyLen]
+					edges++
+					// The op deletes e.op.Size() held facts (AppendChildKey
+					// checked each one).
+					cheld := held - e.op.Size()
+					lvl := levels[cheld]
+					if lvl == nil {
+						// Sized like the parent level: neighbouring levels
+						// are of comparable width, and growing a map
+						// rehashes every key.
+						lvl = make(map[string]*dagNode, len(nodes))
+						levels[cheld] = lvl
 					}
+					cn, ok := lvl[string(ck)] // compiles to a no-alloc lookup
+					if !ok {
+						cn = arena.take()
+						cn.key = string(ck) // the one key allocation per distinct database
+						cn.parent, cn.op = n.state, e.op
+						lvl[cn.key] = cn
+						states++
+						if opt.MaxStates > 0 && states > opt.MaxStates {
+							return 0, 0, ErrStateBudget
+						}
+					}
+					edge(n, cn, e)
 				}
-				edge(n, cn, e)
 			}
 		}
 
-		materializeStates(creators, workers)
-
-		// The level is merged: recycle every node and drop its state, so
-		// peak memory tracks the frontier. (Whatever the callers keep of a
-		// node was copied out or detached in visit.)
+		// The level is merged: recycle every node, so peak memory tracks
+		// the frontier. (Whatever the callers keep of a node was copied out
+		// or detached in visit.)
 		for _, n := range nodes {
-			n.state = nil
-			n.key = ""
-			n.pi = prob.Rat{}
-			n.seqs.SetInt64(0)
-			n.seqsByLen = nil
+			*n = dagNode{}
 			arena.free = append(arena.free, n)
 		}
 	}
@@ -342,75 +378,72 @@ func (a *nodeArena) take() *dagNode {
 	return nd
 }
 
-// expandLevel is phase 1: every node of the frontier resolves its edges via
-// stepRats and derives each edge's packed child database key into the
-// node's reused arena. Nodes are independent — each worker owns its node
-// and only reads the shared instance caches — so the level fans out over
-// the worker pool. exps is scratch from the previous level; it is grown as
-// needed and returned.
-func expandLevel(g Generator, nodes []*dagNode, exps []expansion, workers int) []expansion {
+// expandChunk is phase 1 for a chunk of the frontier: every node gets its
+// deferred state from its creator edge, resolves its edges via stepRats
+// and writes each edge's child conflict key, into the buffers of the
+// worker that runs it. Nodes are independent — each worker owns its node
+// and only reads the shared instance caches and the conflict index — so
+// the chunk fans out over the worker pool. A panic is recovered into the
+// node's error on whichever goroutine runs it. exps is scratch from the
+// previous chunk; it is grown as needed and returned.
+func expandChunk(ix *repair.ConflictIndex, g Generator, nodes []*dagNode, exps []expansion, wks []worker) []expansion {
 	if cap(exps) < len(nodes) {
 		exps = append(exps[:cap(exps)], make([]expansion, len(nodes)-cap(exps))...)
 	}
 	exps = exps[:len(nodes)]
-	parallel(len(nodes), workers, func(i int) {
-		n, exp := nodes[i], &exps[i]
-		exp.err = nil
-		exp.arena = exp.arena[:0]
-		exp.keyOff = append(exp.keyOff[:0], 0)
-		edges, weights, err := stepRats(g, n.state, exp.edges[:0], exp.weights)
-		exp.edges, exp.weights = edges, weights
+	for i := range wks {
+		wks[i].edges, wks[i].keys = wks[i].edges[:0], wks[i].keys[:0]
+	}
+	parallel(len(nodes), len(wks), func(w, i int) {
+		n, exp, wk := nodes[i], &exps[i], &wks[w]
+		*exp = expansion{w: w, lo: len(wk.edges), hi: len(wk.edges)}
+		defer func() {
+			if r := recover(); r != nil {
+				at := n.state
+				if at == nil {
+					at = n.parent
+				}
+				exp.err = fmt.Errorf("%w at state %q: %v", ErrPanicked, at, r)
+			}
+		}()
+		if n.state == nil {
+			wk.exts = ix.AppendExtensions(wk.exts[:0], n.key)
+			n.state = n.parent.DeferredChild(n.op, wk.carve(wk.exts))
+			n.parent, n.op = nil, ops.Op{}
+		}
+		var err error
+		wk.edges, wk.weights, err = stepRats(g, n.state, wk.edges, wk.weights)
 		if err != nil {
 			exp.err = err
 			return
 		}
-		for i := range edges {
-			exp.arena = n.state.AppendChildIDKey(exp.arena, edges[i].op)
-			exp.keyOff = append(exp.keyOff, len(exp.arena))
+		for _, e := range wk.edges[exp.lo:] {
+			var ok bool
+			if wk.keys, ok = ix.AppendChildKey(wk.keys, n.key, e.op); !ok {
+				// Cannot happen for a TGD-free chain (every extension
+				// deletes held conflicted facts); guard the level order
+				// rather than corrupt masses.
+				exp.err = fmt.Errorf("%w: operation %s deletes no held conflicted fact", ErrNotCollapsible, e.op)
+				return
+			}
 		}
+		exp.hi = len(wk.edges)
 	})
 	return exps
 }
 
-// materializeStates is phase 3: each distinct new child database gets its
-// state from its recorded creator edge. Creators may share a parent state;
-// repair.Child only reads the parent (its id and extension caches were
-// warmed single-owner in phase 1), so the fan-out is safe. After the pool
-// drains, every new state's sorted fact ids — exactly the decode of its
-// packed merge key — are carved from one per-level arena and seeded with
-// SetFactIDs, so the next level's key derivations never write lazily (and
-// never allocate per state).
-func materializeStates(creators []creator, workers int) {
-	parallel(len(creators), workers, func(i int) {
-		c := &creators[i]
-		c.child.state = c.parent.state.Child(c.op)
-	})
-	total := 0
-	for i := range creators {
-		total += len(creators[i].child.key) / 4
-	}
-	arena := make([]uint32, 0, total)
-	for i := range creators {
-		start := len(arena)
-		k := creators[i].child.key
-		for j := 0; j+4 <= len(k); j += 4 {
-			arena = append(arena, uint32(k[j])<<24|uint32(k[j+1])<<16|uint32(k[j+2])<<8|uint32(k[j+3]))
-		}
-		creators[i].child.state.SetFactIDs(arena[start:len(arena):len(arena)])
-	}
-}
-
-// parallel runs do(i) for every i in [0, n) on min(workers, n) goroutines.
-// Narrow batches (the first and last few levels of every chain, and all of
-// a small chain) are cheaper to run inline than to fan out.
-func parallel(n, workers int, do func(i int)) {
+// parallel runs do(w, i) for every i in [0, n) on min(workers, n)
+// goroutines, w numbering the goroutine that runs i (0 on the inline
+// path). Narrow batches (the first and last few levels of every chain, and
+// all of a small chain) are cheaper to run inline than to fan out.
+func parallel(n, workers int, do func(w, i int)) {
 	const minParallel = 16
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 || n < minParallel {
 		for i := 0; i < n; i++ {
-			do(i)
+			do(0, i)
 		}
 		return
 	}
@@ -421,7 +454,7 @@ func parallel(n, workers int, do func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				do(i)
+				do(w, i)
 			}
 		}()
 	}

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/constraint"
+	"repro/internal/generators"
 	"repro/internal/logic"
 	"repro/internal/markov"
+	"repro/internal/ops"
 	"repro/internal/prob"
 	"repro/internal/relation"
 	"repro/internal/repair"
@@ -149,25 +152,39 @@ func fiveConflictInstance(t *testing.T) *repair.Instance {
 	return repair.MustInstance(d, constraint.NewSet(eta))
 }
 
+// preferenceInstance is a random preference table under the asymmetry
+// denial, for generators.Preference: its weights read the state's
+// database and violations, so every interior state of its sweep is built.
+func preferenceInstance(t *testing.T) *repair.Instance {
+	t.Helper()
+	return repair.MustInstance(workload.Preferences(workload.PreferenceConfig{
+		Products: 6, Prefs: 14, ConflictRate: 1, Seed: 3,
+	}))
+}
+
 // TestExploreDAGWorkerCountInvariant: ExploreDAG is bit-identical (same
 // leaf order, same exact rationals) for every worker pool size, and so is
 // the SequenceDAG built by the same sweep: same total, shape and draws from
-// a fixed RNG stream.
+// a fixed RNG stream. The preference case runs a generator that reads the
+// state, so under -race it also checks that building deferred states on
+// the workers is race-free.
 func TestExploreDAGWorkerCountInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		inst *repair.Instance
+		gen  markov.Generator
 	}{
-		{"two-conflicts", twoConflictInstance(t)},
-		{"five-conflicts", fiveConflictInstance(t)},
+		{"two-conflicts", twoConflictInstance(t), memorylessUniform{}},
+		{"five-conflicts", fiveConflictInstance(t), memorylessUniform{}},
+		{"preferences", preferenceInstance(t), generators.Preference{}},
 	} {
-		name, inst := tc.name, tc.inst
-		want, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: 1})
+		name, inst, gen := tc.name, tc.inst, tc.gen
+		want, err := markov.ExploreDAG(inst, gen, markov.ExploreOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := markov.ExploreDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: workers})
+			got, err := markov.ExploreDAG(inst, gen, markov.ExploreOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +202,7 @@ func TestExploreDAGWorkerCountInvariant(t *testing.T) {
 
 		var wantDraws []string
 		for _, workers := range []int{1, 2, 8} {
-			sd, err := markov.BuildSequenceDAG(inst, memorylessUniform{}, markov.ExploreOptions{Workers: workers})
+			sd, err := markov.BuildSequenceDAG(inst, gen, markov.ExploreOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,6 +346,51 @@ func TestExploreKeyViolationsSequenceCount(t *testing.T) {
 		}
 		if !prob.IsOne(total) {
 			t.Errorf("k=%d: hitting mass = %s, want 1", tc.k, total.RatString())
+		}
+	}
+}
+
+// panicGen is memorylessUniform with integer weights that panic at the
+// state whose database is target.
+type panicGen struct {
+	memorylessUniform
+	target string
+}
+
+func (g panicGen) IntWeights(s *repair.State, exts []ops.Op, dst []int64) ([]int64, bool, error) {
+	if s.Result().Key() == g.target {
+		panic("weights exploded")
+	}
+	for range exts {
+		dst = append(dst, 1)
+	}
+	return dst, true, nil
+}
+
+// TestSweepRecoversPanic: a generator that panics at one state fails the
+// exploration with ErrPanicked, naming the state and the panic, instead of
+// killing the process — on the inline path (one worker) and on the
+// worker goroutines alike, and for both users of the sweep. The state sits
+// two deletions down the five-conflict chain, on a level wide enough for
+// the pool to fan out.
+func TestSweepRecoversPanic(t *testing.T) {
+	inst := fiveConflictInstance(t)
+	db := inst.Initial().Clone()
+	db.Delete(f("R", "k0", "1"))
+	db.Delete(f("R", "k3", "2"))
+	g := panicGen{target: db.Key()}
+	for _, workers := range []int{1, 4} {
+		opt := markov.ExploreOptions{Workers: workers}
+		_, err := markov.ExploreDAG(inst, g, opt)
+		_, serr := markov.BuildSequenceDAG(inst, g, opt)
+		for _, err := range []error{err, serr} {
+			if !errors.Is(err, markov.ErrPanicked) {
+				t.Fatalf("workers=%d: err = %v, want ErrPanicked", workers, err)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "weights exploded") || !strings.Contains(msg, "R(k0, 1)") || !strings.Contains(msg, "R(k3, 2)") {
+				t.Fatalf("workers=%d: error does not name the panic and its state: %v", workers, err)
+			}
 		}
 	}
 }

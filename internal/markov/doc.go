@@ -23,11 +23,11 @@
 //     BuildTree's renderable tree); it resolves edges through Step, so
 //     it is the reference the DAG is checked against. ExploreDAG runs the
 //     single level sweep (sweep, dag.go): it merges states by database
-//     identity, sweeps size levels in decreasing order (every
-//     deletion-only edge shrinks the database, so size classes are a
-//     topological order), accumulates exact path mass π and big.Int
-//     sequence counts per node, and expands each frontier with a worker
-//     pool.
+//     identity, sweeps levels in decreasing order of the conflicted facts
+//     a state holds (every deletion-only edge removes some, so the levels
+//     are a topological order), accumulates exact path mass π and
+//     sequence counts (prob.Count, a uint64 that promotes to big.Int)
+//     per node, and expands each frontier with a worker pool.
 //   - SemanticsMode (mode.go): walk-induced vs sequence-uniform — which
 //     distribution over complete sequences the layers above compute.
 //   - SequenceDAG (seqdag.go): the counting-to-sampling reduction.
@@ -38,17 +38,22 @@
 //
 // # Two-tier state keys
 //
-// The engines use a two-tier key scheme. The merge tier is binary: states
-// are grouped by the packed sorted-fact-id encoding (Database.IDKey /
-// relation.AppendIDKey), and a child's key is derived from its parent's
-// cached ids by one binary search plus two packed runs
-// (repair.State.AppendChildIDKey) — each level first computes every edge's
-// key, then materializes one repair.State per *distinct* child database.
-// Packed keys are process-local (they depend on interning order) and never
-// leave the process. The presentation tier is the human-readable
+// The engines use a two-tier key scheme. The merge tier is binary: a
+// TGD-free chain only deletes conflicted facts, so the DAG engines group
+// states by conflict key — the bitset of the root's conflicted facts a
+// state still holds, numbered by interned id (repair.ConflictIndex). A
+// child's key is its parent's with the operation's bits cleared, and a
+// node's extensions are the root's filtered by the key, so each level runs
+// in two phases: expand every frontier node (its state is a
+// repair.State.DeferredChild that holds the extension list but builds its
+// database and violations only when a generator or caller reads them),
+// then merge the edges in key order. Conflict keys are process-local (they
+// depend on interning order) and never leave the process. The tree engine
+// Explore merges its leaves by the packed sorted-fact-id encoding
+// (Database.IDKey). The presentation tier is the human-readable
 // Database.Key(): it appears exactly once per absorbing database, when
 // DAGLeaf.Key is emitted, and in everything layered above (reported repair
-// order, HTTP JSON). The two keys group states identically — both encode
+// order, HTTP JSON). The keys group states identically — each encodes
 // exactly the fact set — they only sort differently.
 //
 // # Invariants (the determinism contract)
@@ -61,7 +66,10 @@
 //     exact rational addition is order-insensitive).
 //   - ExploreDAG and BuildSequenceDAG produce bit-identical results for
 //     every Workers value: levels merge sequentially in sorted-key order,
-//     and workers only compute per-node expansions.
+//     and workers only compute per-node expansions. A panic during an
+//     expansion (a generator's, say) is recovered on the worker and
+//     fails the exploration with ErrPanicked, naming the state, on one
+//     worker or many.
 //   - Markovian implementations must be safe for concurrent Transitions /
 //     IntWeights calls (the worker pool calls them from goroutines).
 //   - Collapsing is gated, never assumed: history-dependent generators and

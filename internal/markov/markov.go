@@ -208,11 +208,17 @@ func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdg
 		return buf, ws, err
 	}
 	if ok {
+		// Equal weights (every uniform step) share one reduced fraction.
+		var last int64
+		var p prob.Rat
 		for i, w := range ws {
 			if w == 0 {
 				continue
 			}
-			buf = append(buf, ratEdge{op: exts[i], p: prob.RatFrac(w, total)})
+			if w != last {
+				last, p = w, prob.RatFrac(w, total)
+			}
+			buf = append(buf, ratEdge{op: exts[i], p: p})
 		}
 		return buf, ws, nil
 	}
@@ -235,8 +241,8 @@ type ExploreOptions struct {
 	// distinct databases (its states).
 	MaxStates int
 	// Workers is the number of goroutines the DAG engine uses to expand
-	// each frontier level (≤ 0 means GOMAXPROCS). States are copy-on-write
-	// clones, so expansion is embarrassingly parallel; results are
+	// each frontier level (≤ 0 means GOMAXPROCS). Nodes expand
+	// independently, so expansion is embarrassingly parallel; results are
 	// bit-identical for every worker count. The tree walk ignores it.
 	Workers int
 	// TrackLengths additionally propagates, for every absorbing database,

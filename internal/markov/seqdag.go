@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ops"
 	"repro/internal/prob"
-	"repro/internal/relation"
 	"repro/internal/repair"
 )
 
@@ -30,9 +29,11 @@ import (
 // cheap (one walk down the DAG) and safe for concurrent callers.
 type SequenceDAG struct {
 	inst *repair.Instance
-	// nodes is keyed by the packed binary id key of each distinct database
-	// (relation.AppendIDKey), the same merge key ExploreDAG uses.
+	// nodes is keyed by the conflict key of each distinct database
+	// (repair.ConflictIndex), the same merge key ExploreDAG uses; root is
+	// the root's.
 	nodes map[string]*seqNode
+	root  string
 	total *big.Int
 	// states and edges mirror DAG.States / DAG.Edges.
 	states, edges int
@@ -97,7 +98,8 @@ func BuildSequenceDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*
 			n.count.Add(n.count, c.count)
 		}
 	}
-	sd.total = sd.nodes[order[0]].count
+	sd.root = order[0]
+	sd.total = sd.nodes[sd.root].count
 	return sd, nil
 }
 
@@ -122,11 +124,7 @@ func (sd *SequenceDAG) Edges() int { return sd.edges }
 // concurrent callers with distinct RNGs.
 func (sd *SequenceDAG) Sample(rng *rand.Rand) (*repair.State, error) {
 	s := sd.inst.Root()
-	rootKey := relation.AppendIDKey(make([]byte, 0, 4*s.Result().Size()), s.FactIDs())
-	n := sd.nodes[string(rootKey)]
-	if n == nil {
-		return nil, fmt.Errorf("markov: sequence DAG does not index the root database")
-	}
+	n := sd.nodes[sd.root]
 	for len(n.ops) > 0 {
 		i := prob.PickBigInt(rng, n.counts)
 		next := sd.nodes[n.childKeys[i]]

@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Rat is an exact rational accumulator with a small-value fast path: while
@@ -233,6 +234,14 @@ func smallBig(p *big.Rat) (num, den int64, ok bool) {
 // any exact intermediate leaves int64. Inputs must be reduced with positive
 // denominators.
 func addSmall(an, ad, bn, bd int64) (num, den int64, ok bool) {
+	// A zero term (a node's first incoming mass) leaves the other,
+	// already reduced, term as it is.
+	if an == 0 {
+		return bn, bd, true
+	}
+	if bn == 0 {
+		return an, ad, true
+	}
 	g := gcd64(ad, bd)
 	adg, bdg := ad/g, bd/g
 	den, ok = mul64(adg, bd) // lcm(ad, bd)
@@ -288,7 +297,8 @@ func mulSmall(an, ad, bn, bd int64) (num, den int64, ok bool) {
 	return num, den, true
 }
 
-// mul64 is overflow-checked int64 multiplication.
+// mul64 is overflow-checked int64 multiplication. The check reads the
+// high word of the 128-bit product of the magnitudes instead of dividing.
 func mul64(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
@@ -296,11 +306,17 @@ func mul64(a, b int64) (int64, bool) {
 	if a == math.MinInt64 || b == math.MinInt64 {
 		return 0, false
 	}
-	c := a * b
-	if c/b != a {
+	hi, lo := bits.Mul64(uint64(abs64(a)), uint64(abs64(b)))
+	if hi != 0 || lo > 1<<63 {
 		return 0, false
 	}
-	return c, true
+	if (a < 0) != (b < 0) {
+		return -int64(lo), true // lo = 2^63 wraps to exactly MinInt64
+	}
+	if lo == 1<<63 {
+		return 0, false
+	}
+	return int64(lo), true
 }
 
 // add64 is overflow-checked int64 addition.
@@ -319,10 +335,31 @@ func abs64(a int64) int64 {
 	return a
 }
 
-// gcd64 returns gcd(a, b) for non-negative inputs (gcd(0, b) = b).
+// gcd64 returns gcd(a, b) for non-negative inputs (gcd(0, b) = b). One
+// Euclidean step brings the larger operand below the smaller — the whole
+// job when one is a small step weight — and the binary (Stein) algorithm
+// finishes with shifts and subtractions instead of the chain of 64-bit
+// divisions, which dominated the exact engines' mass merge on large
+// denominators.
 func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+	if a < b {
+		a, b = b, a
 	}
-	return a
+	if b == 0 {
+		return a
+	}
+	if a %= b; a == 0 {
+		return b
+	}
+	ua, ub := uint64(a), uint64(b)
+	shift := bits.TrailingZeros64(ua | ub)
+	ua >>= bits.TrailingZeros64(ua)
+	for ub != 0 {
+		ub >>= bits.TrailingZeros64(ub)
+		if ua > ub {
+			ua, ub = ub, ua
+		}
+		ub -= ua
+	}
+	return int64(ua << shift)
 }

@@ -646,7 +646,7 @@ func (d *Database) Key() string {
 // ascending id order and returns the extended slice. The snapshot's sorted
 // ids are cached once and merged against the (id-sorted) delta, so the call
 // is a linear weave with no per-fact hashing or string work — the building
-// block of IDKey and of the exact engine's incremental child keys.
+// block of IDKey.
 func (d *Database) AppendFactIDs(buf []uint32) []uint32 {
 	base := d.snap.sortedIDs()
 	if len(d.added) == 0 && len(d.removed) == 0 {

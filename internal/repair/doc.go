@@ -17,7 +17,16 @@
 //     a tree; Child builds the child in fresh storage and only reads the
 //     parent (databases are copy-on-write, bookkeeping is id-sorted
 //     slices), ChildInPlace hands the parent's storage on for walk-style
-//     exploration that discards the parent.
+//     exploration that discards the parent. Child and ChildInPlace are the
+//     reference transitions of the tree engine and the walks.
+//   - ConflictIndex and DeferredChild (conflict.go): the DAG engines'
+//     TGD-free states. Every reachable database is the initial one minus
+//     some of the root's conflicted facts, so a ConflictIndex names a
+//     state by the bitset of the conflicted facts it still holds, derives
+//     a child's key by clearing the operation's bits, and a state's
+//     extensions by filtering the root's. DeferredChild makes the state
+//     in O(1) from its parent, operation and extension list; its database
+//     and violations are built from the root on first read.
 //   - Walk / Survey / Validate (walk.go): a full-tree traversal, summary
 //     statistics, and an independent from-scratch transcription of
 //     Definition 4 that the property tests check the incremental State
@@ -25,8 +34,11 @@
 //
 // # Invariants
 //
-//   - States are immutable after creation; Extensions() is cached,
-//     deterministic, and canonically ordered (ops.SortOps order).
+//   - States are immutable after creation, except that the first
+//     Result or Violations call on a DeferredChild builds them (so that
+//     first read must not race another call on the same state);
+//     Extensions() is cached, deterministic, and canonically ordered
+//     (ops.SortOps order).
 //   - For TGD-free Σ the operation space is deletion-only: a step can only
 //     remove violations and extensions. The child's violations are the
 //     parent's filtered by the EGD/DC deletion rule
@@ -34,7 +46,10 @@
 //     parent's filtered to the surviving violation bodies, re-checking only
 //     the operations that meet an eliminated body. Child and ChildInPlace
 //     share this one transition (deletionChild); it is also the structural
-//     fact behind the DAG collapse in internal/markov.
+//     fact behind the DAG collapse in internal/markov. A DeferredChild
+//     reaches the same state in one step from the root: the initial
+//     database minus every deleted fact, the root violations minus those
+//     that lose a body fact (constraint.Violations.WithoutFacts).
 //   - Without TGDs no Definition 4 history (eliminated violations, added
 //     and removed facts) is kept: admissibility is automatic, so nothing
 //     reads it.

@@ -139,13 +139,19 @@ func (in *Instance) SeedRootViolations(vs *constraint.Violations) {
 // state (walks start from identical roots), so repeated walks skip the
 // from-scratch homomorphism search.
 func (in *Instance) Root() *State {
-	db := in.initial.Clone()
-	in.rootVioOnce.Do(func() {
-		in.rootViolations = constraint.FindViolations(db, in.sigma)
-	})
 	return &State{
 		inst:       in,
-		db:         db,
-		violations: in.rootViolations,
+		db:         in.initial.Clone(),
+		violations: in.rootVios(),
 	}
+}
+
+// rootVios returns V(D,Σ) of the initial database, computing it on first
+// use (on a clone, so the shared initial database is only read); the set
+// is shared and must not be modified.
+func (in *Instance) rootVios() *constraint.Violations {
+	in.rootVioOnce.Do(func() {
+		in.rootViolations = constraint.FindViolations(in.initial.Clone(), in.sigma)
+	})
+	return in.rootViolations
 }

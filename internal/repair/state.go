@@ -16,7 +16,8 @@ import (
 // sequence ε and each child extends its parent by one operation.
 //
 // States are immutable after creation, except that ChildInPlace hands a
-// state's storage on to its child; Child produces new states. The
+// state's storage on to its child, and that a DeferredChild builds its
+// database and violations on first read; Child produces new states. The
 // database is copy-on-write (children share the instance's sealed snapshot
 // and carry only their op deltas) and the bookkeeping sets are keyed by
 // interned fact and violation ids, so spawning a child costs O(depth)
@@ -35,10 +36,9 @@ type State struct {
 	removed    relation.FactSet // facts deleted so far
 	extensions []ops.Op         // cached valid extensions (nil until computed)
 	extsReady  bool
-	// ids caches the sorted interned fact ids of db (nil until computed);
-	// children derive theirs from the parent's by applying the op's fact
-	// delta instead of re-enumerating the database (see FactIDs).
-	ids []uint32
+	// deferred marks a DeferredChild whose db and violations are not built
+	// yet (see materialize).
+	deferred bool
 }
 
 // idSet is a sorted set of violation ids; cloning is a single copy and
@@ -100,128 +100,13 @@ func (s *State) Ops() []ops.Op {
 }
 
 // Result returns the database produced by the sequence; callers must not
-// modify it (use Result().Clone() to mutate).
-func (s *State) Result() *relation.Database { return s.db }
-
-// FactIDs returns the interned ids of Result()'s facts, sorted ascending;
-// the cached slice is shared and must not be modified. The first request on
-// a lineage enumerates the database once; a descendant whose parent's slice
-// is already cached derives its own incrementally — a deletion-only op is
-// one binary search plus a memmove — so the exact engines key states by
-// packed ids (relation.AppendIDKey) without per-state re-enumeration. The
-// lazy fill makes FactIDs single-owner: concurrent use requires either
-// warming the cache first or pre-seeding it with SetFactIDs (the DAG
-// engines decode each new state's ids from its merge key into a per-level
-// arena, so in that regime FactIDs never writes).
-func (s *State) FactIDs() []uint32 {
-	if s.ids == nil {
-		if p := s.parent; p != nil && p.ids != nil {
-			s.ids = childFactIDs(p.ids, s.op)
-		} else {
-			s.ids = s.db.AppendFactIDs(make([]uint32, 0, s.db.Size()))
-		}
+// modify it (use Result().Clone() to mutate). The first call on a
+// DeferredChild builds it.
+func (s *State) Result() *relation.Database {
+	if s.deferred {
+		s.materialize()
 	}
-	return s.ids
-}
-
-// SetFactIDs seeds the FactIDs cache. The slice must hold exactly the
-// interned ids of Result()'s facts in ascending order, and ownership
-// transfers to the state (the caller must not modify it afterwards). The
-// DAG engines use this to share one id arena per frontier level instead of
-// allocating a slice per state.
-func (s *State) SetFactIDs(ids []uint32) { s.ids = ids }
-
-// childFactIDs applies an op's fact delta to a parent's sorted id slice,
-// returning a fresh sorted slice. Singleton deletions — the bulk of all
-// repairing operations — are one binary search and two copies.
-func childFactIDs(parent []uint32, op ops.Op) []uint32 {
-	facts := op.Facts()
-	if op.IsInsert() {
-		out := make([]uint32, len(parent), len(parent)+len(facts))
-		copy(out, parent)
-		for _, f := range facts {
-			id := f.ID()
-			lo := idSearch(out, id)
-			if lo < len(out) && out[lo] == id {
-				continue
-			}
-			out = append(out, 0)
-			copy(out[lo+1:], out[lo:])
-			out[lo] = id
-		}
-		return out
-	}
-	if len(facts) == 1 {
-		id := facts[0].ID()
-		lo := idSearch(parent, id)
-		if lo >= len(parent) || parent[lo] != id {
-			return slices.Clone(parent)
-		}
-		out := make([]uint32, len(parent)-1)
-		copy(out, parent[:lo])
-		copy(out[lo:], parent[lo+1:])
-		return out
-	}
-	var delBuf [8]uint32
-	del := delBuf[:0]
-	for _, f := range facts {
-		del = append(del, f.ID())
-	}
-	slices.Sort(del)
-	out := make([]uint32, 0, len(parent))
-	di := 0
-	for _, id := range parent {
-		for di < len(del) && del[di] < id {
-			di++
-		}
-		if di < len(del) && del[di] == id {
-			di++
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// AppendChildIDKey appends the packed binary database key
-// (relation.AppendIDKey over the sorted fact ids) of the database that
-// Child(op) would produce — without materializing the child state. The DAG
-// engine uses this to compute every edge's merge key first and create a
-// state only once per *distinct* child database. The deletion fast path is
-// one binary search and two packed runs of the parent's cached ids.
-func (s *State) AppendChildIDKey(dst []byte, op ops.Op) []byte {
-	parent := s.FactIDs()
-	facts := op.Facts()
-	if op.IsInsert() {
-		return relation.AppendIDKey(dst, childFactIDs(parent, op))
-	}
-	if len(facts) == 1 {
-		id := facts[0].ID()
-		lo := idSearch(parent, id)
-		if lo >= len(parent) || parent[lo] != id {
-			return relation.AppendIDKey(dst, parent)
-		}
-		dst = relation.AppendIDKey(dst, parent[:lo])
-		return relation.AppendIDKey(dst, parent[lo+1:])
-	}
-	var delBuf [8]uint32
-	del := delBuf[:0]
-	for _, f := range facts {
-		del = append(del, f.ID())
-	}
-	slices.Sort(del)
-	di := 0
-	for _, id := range parent {
-		for di < len(del) && del[di] < id {
-			di++
-		}
-		if di < len(del) && del[di] == id {
-			di++
-			continue
-		}
-		dst = append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-	}
-	return dst
+	return s.db
 }
 
 // idSearch returns the insertion position of id in the sorted slice
@@ -240,11 +125,17 @@ func idSearch(ids []uint32, id uint32) int {
 	return lo
 }
 
-// Violations returns V(D^s_i, Σ).
-func (s *State) Violations() *constraint.Violations { return s.violations }
+// Violations returns V(D^s_i, Σ). The first call on a DeferredChild
+// builds it.
+func (s *State) Violations() *constraint.Violations {
+	if s.deferred {
+		s.materialize()
+	}
+	return s.violations
+}
 
 // Consistent reports whether the current database satisfies Σ.
-func (s *State) Consistent() bool { return s.violations.Empty() }
+func (s *State) Consistent() bool { return s.Violations().Empty() }
 
 // Key returns a canonical encoding of the sequence (the concatenated
 // operation keys), identifying the Markov-chain state.
@@ -310,7 +201,7 @@ func (s *State) computeExtensions() []ops.Op {
 	// overlap), sort canonically, and dedup adjacent identical operations —
 	// interned operations compare by pointer, so no per-state hash map is
 	// needed.
-	vios := s.violations.ByID()
+	vios := s.Violations().ByID()
 	candidates := make([]ops.Op, 0, 4*len(vios))
 	for _, v := range vios {
 		candidates = append(candidates, s.inst.justifiedDeletions(v)...)
@@ -516,7 +407,7 @@ func (s *State) additionsStillJustified(del ops.Op) bool {
 // Extensions (or otherwise be a valid extension). The receiver is only
 // read, so children of one state may be built concurrently.
 func (s *State) Child(op ops.Op) *State {
-	db := s.db.Clone()
+	db := s.Result().Clone()
 	changed := op.Do(db)
 	if !s.inst.sigma.HasTGDs() {
 		return s.deletionChild(op, db, changed, false)
@@ -565,7 +456,7 @@ func (s *State) Child(op ops.Op) *State {
 // or set it handed out, must not be used after the call (its database,
 // violations and extensions are set to nil to surface misuse early).
 func (s *State) ChildInPlace(op ops.Op) *State {
-	db := s.db
+	db := s.Result()
 	changed := op.Do(db)
 	if !s.inst.sigma.HasTGDs() {
 		child := s.deletionChild(op, db, changed, s.parent != nil)
@@ -609,7 +500,7 @@ func (s *State) ChildInPlace(op ops.Op) *State {
 // otherwise the child gets fresh copies. No Definition 4 history is kept:
 // admissible is never consulted without TGDs.
 func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relation.Fact, inPlace bool) *State {
-	vios := s.violations
+	vios := s.Violations()
 	if !inPlace {
 		vios = vios.Clone()
 	}
@@ -631,6 +522,47 @@ func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relati
 		child.extensions, child.extsReady = deletionExtensions(dst, s.extensions, gone, vios.ByID()), true
 	}
 	return child
+}
+
+// DeferredChild returns the state reached by appending the deletion op to
+// s, with exts as its extension list, without building its database or
+// violation set: Σ must be TGD-free, and exts must be exactly the child's
+// valid extensions in canonical order (ConflictIndex.AppendExtensions
+// derives them from the child's conflict key). Creation is O(1), so Ops,
+// Key, String, Len and Extensions cost what they cost on any state, and a
+// generator that reads only the extensions never pays for the rest. The
+// first Result or Violations call builds both from the instance's root —
+// the initial database minus the facts the sequence deleted, and the root
+// violations minus those that lose a body fact — not through the parent
+// chain, so no ancestor is ever built. That first call writes the state,
+// so it must not race with another call on the same state; afterwards the
+// state is as immutable as any other. The state owns exts.
+func (s *State) DeferredChild(op ops.Op, exts []ops.Op) *State {
+	return &State{
+		inst:       s.inst,
+		parent:     s,
+		op:         op,
+		depth:      s.depth + 1,
+		extensions: exts,
+		extsReady:  true,
+		deferred:   true,
+	}
+}
+
+// materialize builds a DeferredChild's database and violation set from the
+// root. Without TGDs the sequence's operations delete pairwise disjoint
+// fact sets (a deleted fact is in no later violation body), and the EGD/DC
+// deletion rule is order-free, so deleting their union at once from the
+// root gives exactly what the step-by-step Child chain gives.
+func (s *State) materialize() {
+	var delBuf [16]relation.Fact
+	deleted := delBuf[:0]
+	for cur := s; cur.parent != nil; cur = cur.parent {
+		deleted = append(deleted, cur.op.Facts()...)
+	}
+	db := s.inst.initial.Clone()
+	db.DeleteAll(deleted)
+	s.db, s.violations, s.deferred = db, s.inst.rootVios().WithoutFacts(deleted), false
 }
 
 // IsComplete reports whether the sequence cannot be extended.

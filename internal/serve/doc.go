@@ -54,9 +54,11 @@
 //   - Batches are atomic: a reader sees either none or all of a batch,
 //     and the Snapshot's database, partition, and semantics are always
 //     mutually consistent. A batch whose build fails (say a
-//     component past Options.MaxStates) fails every caller it coalesced
-//     and leaves the served snapshot, stats, op log, and structural
-//     cache as they were.
+//     component past Options.MaxStates, or a generator that panics
+//     while a component is explored, which the exploration recovers
+//     into markov.ErrPanicked) fails every caller it coalesced and
+//     leaves the served snapshot, stats, op log, and structural cache
+//     as they were.
 //   - The structural semantics cache (core.SemanticsCache) is shared
 //     across all deltas of a Server, so recomputed components isomorphic
 //     to anything previously explored cost a renaming, not a DAG
@@ -64,8 +66,12 @@
 //     (it does: Server has no way to change it). Snapshot and payload
 //     identity is binary end to end: cache keys are the packed fact ids
 //     of the island's canonical form up to constant renaming
-//     (relation.AppendIDKey) — the human-readable Database.Key appears
-//     only in the HTTP JSON presentation layer.
+//     (relation.AppendIDKey), and an exploration merges the island's
+//     repair states by conflict key, the bitset of the island's
+//     conflicted facts a state still holds (repair.ConflictIndex). The
+//     human-readable Database.Key is built once per repair of an
+//     explored island (markov.DAGLeaf.Key, which orders the repairs)
+//     and in the HTTP JSON presentation layer.
 //   - Conjunctive queries are answered exactly from their witness
 //     lineage: only the components a tuple's witnesses link are
 //     enumerated, so a two-atom probe of one island is exact however many

@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"errors"
 	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +13,10 @@ import (
 	"time"
 
 	"repro/internal/generators"
+	"repro/internal/markov"
+	"repro/internal/ops"
 	"repro/internal/relation"
+	"repro/internal/repair"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -245,6 +250,64 @@ func TestServeFailedPublication(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Stats(); !reflect.DeepEqual(got, finalStats) {
 		t.Fatalf("replay diverges from the live server:\n  got  %+v\n  want %+v", got, finalStats)
+	}
+}
+
+// poisonGen is the uniform chain with integer weights that panic at every
+// state offering to delete the poison fact. It is neither structural (the
+// structural cache would rename the fact away) nor a generators.Uniform.
+type poisonGen struct{ poison relation.Fact }
+
+func (poisonGen) Name() string       { return "poison" }
+func (poisonGen) LocalWeights() bool { return true }
+func (poisonGen) Memoryless() bool   { return true }
+
+func (poisonGen) Transitions(s *repair.State, exts []ops.Op) ([]*big.Rat, error) {
+	return generators.Uniform{}.Transitions(s, exts)
+}
+
+func (g poisonGen) IntWeights(_ *repair.State, exts []ops.Op, dst []int64) ([]int64, bool, error) {
+	for _, op := range exts {
+		for _, f := range op.Facts() {
+			if f == g.poison {
+				panic("poisoned weights")
+			}
+		}
+		dst = append(dst, 1)
+	}
+	return dst, true, nil
+}
+
+// TestServePanickingGeneratorFailsPublication: a generator panic inside a
+// publication's component exploration fails that publication with
+// markov.ErrPanicked instead of killing the server, and, as for any failed
+// build (TestServeFailedPublication), the served snapshot and stats stay
+// as they were and a later ingest still publishes — for one worker and
+// for a pool.
+func TestServePanickingGeneratorFailsPublication(t *testing.T) {
+	db, sigma := workload.Islands(workload.IslandsConfig{Islands: 4, FactsPerIsland: 4, IsoRatio: 1, Seed: 83})
+	poison := relation.NewFact("E", "i00000001_n004", "i00000002_n000")
+	for _, workers := range []int{1, 4} {
+		s, err := serve.New(db, sigma, poisonGen{poison: poison}, serve.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, wantStats := s.Snapshot(), s.Stats()
+		if _, err := s.Ingest([]serve.Op{{Fact: poison, Insert: true}}); !errors.Is(err, markov.ErrPanicked) ||
+			!strings.Contains(err.Error(), "poisoned weights") {
+			t.Fatalf("workers=%d: poisoned ingest returned %v, want ErrPanicked", workers, err)
+		}
+		if s.Snapshot() != before {
+			t.Fatalf("workers=%d: a panicking build replaced the served snapshot", workers)
+		}
+		if got := s.Stats(); !reflect.DeepEqual(got, wantStats) {
+			t.Fatalf("workers=%d: a panicking build changed the stats:\n  got  %+v\n  want %+v", workers, got, wantStats)
+		}
+		split := relation.NewFact("E", "i00000000_n001", "i00000000_n002")
+		if sn, err := s.Ingest([]serve.Op{{Fact: split}}); err != nil || sn.Version() != wantStats.Version+1 {
+			t.Fatalf("workers=%d: ingest after a panicking build: %v", workers, err)
+		}
+		s.Close()
 	}
 }
 
