@@ -114,36 +114,42 @@ func ComputeMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOp
 // probabilities are exact leaf-count ratios. Tests and benchmarks call it
 // directly to compare against ComputeDAGMode.
 func ComputeTreeMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
-	return assemble(markov.Explore, inst, g, opt, mode)
+	dag, err := markov.Explore(inst, g, opt)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(dag, inst, mode), nil
 }
 
 // ComputeDAGMode assembles the semantics from the DAG-collapsed
 // exploration (markov.ExploreDAG). It returns markov.ErrNotCollapsible for
 // chains the DAG cannot represent (history-dependent generators, TGDs);
 // ComputeMode handles the fallback. The sequence-uniform weights reuse the
-// big.Int path counts the exploration propagates anyway, so the uniform
-// semantics costs the same as the walk-induced one — and stays exact at
-// sizes where the counts exceed 2^63 and brute-force enumeration is
-// unthinkable.
+// big.Int path counts the exploration propagates anyway, and the sweep
+// skips the walk masses they replace (markov.ExploreDAGMode), so the
+// uniform semantics costs no more than the walk-induced one — and stays
+// exact at sizes where the counts exceed 2^63 and brute-force enumeration
+// is unthinkable.
 func ComputeDAGMode(inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
-	return assemble(markov.ExploreDAG, inst, g, opt, mode)
+	dag, err := markov.ExploreDAGMode(inst, g, opt, mode)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(dag, inst, mode), nil
 }
 
-// assemble runs one exact exploration and builds [[D]]_{MΣ} from its
-// leaves, one per result database. The sequence statistics
+// assemble builds [[D]]_{MΣ} from the leaves of one exact exploration,
+// one per result database. The sequence statistics
 // (Repair.Sequences, AbsorbingStates, FailingStates) are recovered from
 // the leaves' sequence counts and saturate at the int limit when the chain
 // has more than 2^63 sequences — sizes the tree engine could never
 // enumerate; the exact counts survive in Repair.SeqCount and
 // Semantics.TotalSequences. The walk-induced masses fall out of the
 // exploration; the sequence-uniform mode replaces every probability with
-// the corresponding exact sequence-count ratio.
-func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOptions) (*markov.DAG, error),
-	inst *repair.Instance, g markov.Generator, opt markov.ExploreOptions, mode SemanticsMode) (*Semantics, error) {
-	dag, err := explore(inst, g, opt)
-	if err != nil {
-		return nil, err
-	}
+// the corresponding exact sequence-count ratio and never reads the leaf
+// masses (which the DAG engine leaves nil under that mode).
+func assemble(dag *markov.DAG, inst *repair.Instance, mode SemanticsMode) *Semantics {
+	uniform := mode == SequenceUniform
 	sem := &Semantics{Mode: mode}
 	if !inst.Sigma().HasTGDs() {
 		sem.lineageDB = inst.Initial()
@@ -162,10 +168,14 @@ func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOpt
 		}
 		if !leaf.State.IsSuccessful() {
 			failing.Add(failing, leaf.Sequences)
-			failP.AddBig(leaf.Pi)
+			if !uniform {
+				failP.AddBig(leaf.Pi)
+			}
 			continue
 		}
-		succP.AddBig(leaf.Pi)
+		if !uniform {
+			succP.AddBig(leaf.Pi)
+		}
 		// The leaves are materialized fresh for this exploration and the
 		// dag value never escapes, so the semantics adopts leaf.Pi and
 		// leaf.Sequences instead of copying them.
@@ -185,7 +195,7 @@ func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOpt
 	// Leaves arrive in exploration order; repairs are reported in
 	// database-key order.
 	sort.Sort(&repairsByKey{keys: repairKeys, repairs: sem.Repairs})
-	if mode == SequenceUniform && absorbing.Sign() != 0 {
+	if uniform && absorbing.Sign() != 0 {
 		// absorbing is never 0: every chain has at least the shortest
 		// complete sequence (the empty one, when D is consistent).
 		for i := range sem.Repairs {
@@ -194,7 +204,7 @@ func assemble(explore func(*repair.Instance, markov.Generator, markov.ExploreOpt
 		sem.SuccessP = new(big.Rat).SetFrac(new(big.Int).Sub(absorbing, failing), absorbing)
 		sem.FailP = new(big.Rat).SetFrac(failing, absorbing)
 	}
-	return sem, nil
+	return sem
 }
 
 // repairsByKey sorts repairs by precomputed database key (Database.Key

@@ -76,8 +76,10 @@ var ErrNotCollapsible = errors.New("markov: chain does not collapse to a DAG; us
 // hitting mass, and the number of absorbing sequences the sequence tree
 // would enumerate for it.
 type DAGLeaf struct {
-	State     *repair.State
-	Key       string // State.Result().Key()
+	State *repair.State
+	Key   string // State.Result().Key()
+	// Pi is the hitting mass; it is nil from ExploreDAGMode under
+	// SequenceUniform, which computes no walk mass.
 	Pi        *big.Rat
 	Sequences *big.Int
 	// SeqsByLength[l] counts the absorbing sequences of length l producing
@@ -105,10 +107,11 @@ type DAG struct {
 }
 
 // ErrPanicked is returned when a generator (or anything else a frontier
-// expansion runs) panics: the sweep recovers the panic on the worker and
-// fails the exploration with an error naming the state, whatever the
+// expansion or an estimator walk runs) panics: the DAG sweep and the
+// estimators of internal/sampling recover the panic on the worker and fail
+// the call with an error naming the state or the walk, whatever the
 // worker count.
-var ErrPanicked = errors.New("markov: panic during frontier expansion")
+var ErrPanicked = errors.New("markov: panic while stepping the chain")
 
 // dagNode accumulates a distinct state's incoming mass until its level is
 // processed. Nodes are carved from slabs (nodeArena) and recycled through a
@@ -182,14 +185,27 @@ func (wk *worker) carve(exts []ops.Op) []ops.Op {
 // probabilities. The leaf masses sum to exactly 1 (Proposition 3 survives
 // the quotient: merging states preserves total mass). opt.MaxStates bounds
 // the number of distinct databases; opt.Workers sizes the per-level worker
-// pool. The result is bit-identical for every worker count.
+// pool. The result is bit-identical for every worker count. It is
+// ExploreDAGMode under WalkInduced.
 func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, error) {
+	return ExploreDAGMode(inst, g, opt, WalkInduced)
+}
+
+// ExploreDAGMode is ExploreDAG for the semantics mode that will read the
+// result. Under SequenceUniform, whose probabilities are sequence-count
+// ratios, the sweep propagates only the support and the sequence counts:
+// it resolves no edge probability and accumulates no walk mass, so every
+// DAGLeaf.Pi is nil and the Proposition 3 check is left to the
+// walk-induced sweep. Every state's generator output is validated either
+// way.
+func ExploreDAGMode(inst *repair.Instance, g Generator, opt ExploreOptions, mode SemanticsMode) (*DAG, error) {
+	mass := mode != SequenceUniform
 	dag := &DAG{Sequences: new(big.Int)}
 	// total accumulates the emitted leaf mass for the Proposition 3 sanity
 	// check, entirely on the small-rational fast path.
 	var total prob.Rat
 	var err error
-	dag.States, dag.Edges, err = sweep(inst, g, opt, func(n *dagNode, edges []ratEdge) {
+	dag.States, dag.Edges, err = sweep(inst, g, opt, mass, func(n *dagNode, edges []ratEdge) {
 		if len(edges) > 0 {
 			return
 		}
@@ -198,14 +214,20 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 		// database, and copy the accumulators out, so the node itself can
 		// be recycled.
 		seqs := n.seqs.Big()
-		dag.Leaves = append(dag.Leaves, DAGLeaf{
-			State: n.state, Key: n.state.Result().Key(), Pi: n.pi.Big(),
+		leaf := DAGLeaf{
+			State: n.state, Key: n.state.Result().Key(),
 			Sequences: seqs, SeqsByLength: n.seqsByLen,
-		})
+		}
+		if mass {
+			leaf.Pi = n.pi.Big()
+			total.Add(&n.pi)
+		}
+		dag.Leaves = append(dag.Leaves, leaf)
 		dag.Sequences.Add(dag.Sequences, seqs)
-		total.Add(&n.pi)
 	}, func(n, cn *dagNode, e *ratEdge) {
-		cn.pi.AddMulRat(&n.pi, &e.p)
+		if mass {
+			cn.pi.AddMulRat(&n.pi, &e.p)
+		}
 		cn.seqs.Add(&n.seqs)
 		if opt.TrackLengths {
 			// Every edge is one operation: sequences of length l at the
@@ -221,7 +243,7 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 	if err != nil {
 		return nil, err
 	}
-	if !total.IsOne() {
+	if mass && !total.IsOne() {
 		return nil, fmt.Errorf("%w: hitting distribution sums to %s", ErrNotWellDefined, total.Big().RatString())
 	}
 	return dag, nil
@@ -235,14 +257,14 @@ func ExploreDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*DAG, e
 // (none at an absorbing database); edge is then called once per edge with
 // the child node the edge reaches. Both run sequentially, so they may
 // accumulate into the nodes freely. The root starts with mass 1 and one
-// (empty) sequence. sweep returns the number of distinct databases and of
-// edges.
-func sweep(inst *repair.Instance, g Generator, opt ExploreOptions,
+// (empty) sequence. Without mass the edges carry no probability (see
+// stepRats). sweep returns the number of distinct databases and of edges.
+func sweep(inst *repair.Instance, g Generator, opt ExploreOptions, mass bool,
 	visit func(n *dagNode, edges []ratEdge), edge func(n, child *dagNode, e *ratEdge)) (states, edges int, err error) {
 	if !Collapsible(inst, g) {
 		return 0, 0, fmt.Errorf("%w (generator %s)", ErrNotCollapsible, g.Name())
 	}
-	ix, err := repair.NewConflictIndex(inst)
+	ix, err := inst.Conflicts()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -294,7 +316,7 @@ func sweep(inst *repair.Instance, g Generator, opt ExploreOptions,
 		// chunking, and the workers' buffers stay a chunk's size.
 		for lo := 0; lo < len(nodes); lo += chunk {
 			part := nodes[lo:min(lo+chunk, len(nodes))]
-			exps = expandChunk(ix, g, part, exps, wks)
+			exps = expandChunk(ix, g, mass, part, exps, wks)
 			for i, n := range part {
 				exp := &exps[i]
 				if exp.err != nil {
@@ -386,7 +408,7 @@ func (a *nodeArena) take() *dagNode {
 // the chunk fans out over the worker pool. A panic is recovered into the
 // node's error on whichever goroutine runs it. exps is scratch from the
 // previous chunk; it is grown as needed and returned.
-func expandChunk(ix *repair.ConflictIndex, g Generator, nodes []*dagNode, exps []expansion, wks []worker) []expansion {
+func expandChunk(ix *repair.ConflictIndex, g Generator, mass bool, nodes []*dagNode, exps []expansion, wks []worker) []expansion {
 	if cap(exps) < len(nodes) {
 		exps = append(exps[:cap(exps)], make([]expansion, len(nodes)-cap(exps))...)
 	}
@@ -412,7 +434,7 @@ func expandChunk(ix *repair.ConflictIndex, g Generator, nodes []*dagNode, exps [
 			n.parent, n.op = nil, ops.Op{}
 		}
 		var err error
-		wk.edges, wk.weights, err = stepRats(g, n.state, wk.edges, wk.weights)
+		wk.edges, wk.weights, err = stepRats(g, n.state, mass, wk.edges, wk.weights)
 		if err != nil {
 			exp.err = err
 			return

@@ -215,11 +215,7 @@ func TestExploreDAGWorkerCountInvariant(t *testing.T) {
 			var draws []string
 			for i := 0; i < 64; i++ {
 				src.ReseedAt(7, i)
-				s, err := sd.Sample(rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				draws = append(draws, s.Key())
+				draws = append(draws, string(sd.Sample(rng, nil)))
 			}
 			if wantDraws == nil {
 				wantDraws = draws

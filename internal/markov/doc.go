@@ -28,13 +28,19 @@
 //     are a topological order), accumulates exact path mass π and
 //     sequence counts (prob.Count, a uint64 that promotes to big.Int)
 //     per node, and expands each frontier with a worker pool.
+//     ExploreDAGMode under SequenceUniform (what core.ComputeDAGMode
+//     runs for that semantics) propagates only the support and the
+//     sequence counts: no edge probabilities, no π, nil DAGLeaf.Pi.
 //   - SemanticsMode (mode.go): walk-induced vs sequence-uniform — which
 //     distribution over complete sequences the layers above compute.
 //   - SequenceDAG (seqdag.go): the counting-to-sampling reduction.
-//     BuildSequenceDAG runs the same level sweep, recording each node's
-//     edges, then an upward pass turns them into per-node completion
-//     counts; count-guided walks then draw complete sequences exactly
-//     uniformly, which internal/sampling uses for the uniform semantics.
+//     BuildSequenceDAG runs the same level sweep without masses,
+//     recording each node's edges, then an upward pass turns them into
+//     per-node completion counts (int64 edge weights and their total
+//     where they fit, big.Ints past that); count-guided walks then draw
+//     complete sequences exactly uniformly, stepping node to node and
+//     returning the leaf's conflict key, which internal/sampling uses for
+//     the uniform semantics.
 //
 // # Two-tier state keys
 //

@@ -69,10 +69,10 @@ type Markovian interface {
 // valid extensions are determined by its violation set (a function of the
 // database) and the history bookkeeping of Definition 4 (cancellation,
 // req2, global justification of additions) never prunes anything. Repair
-// states therefore keep no such history without TGDs, and a walk step is
-// one in-place filter of the violation set and the extension list
-// (repair.State.ChildInPlace). With TGDs, states reaching the same database along different histories can
-// have different futures, and only the sequence tree is sound.
+// states therefore keep no such history without TGDs, and a walk step
+// advances a conflict key (repair.Cursor). With TGDs, states reaching the
+// same database along different histories can have different futures,
+// and only the sequence tree is sound.
 func Collapsible(inst *repair.Instance, g Generator) bool {
 	m, ok := g.(Markovian)
 	return ok && m.Memoryless() && !inst.Sigma().HasTGDs()
@@ -198,7 +198,9 @@ func CheckedIntWeights(g Generator, s *repair.State, exts []ops.Op, dst []int64)
 // the probabilities w_i/Σw directly — exactly the rationals Transitions
 // would return, without creating any big.Rat; otherwise it delegates to
 // Step (inheriting its full well-definedness validation) and converts.
-func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdge, []int64, error) {
+// Without mass the edges keep only their operations (p stays zero): the
+// support is the same, and the weights are validated the same way.
+func stepRats(g Generator, s *repair.State, mass bool, buf []ratEdge, ws []int64) ([]ratEdge, []int64, error) {
 	exts := s.Extensions()
 	if len(exts) == 0 {
 		return buf, ws, nil
@@ -215,7 +217,7 @@ func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdg
 			if w == 0 {
 				continue
 			}
-			if w != last {
+			if mass && w != last {
 				last, p = w, prob.RatFrac(w, total)
 			}
 			buf = append(buf, ratEdge{op: exts[i], p: p})
@@ -227,7 +229,11 @@ func stepRats(g Generator, s *repair.State, buf []ratEdge, ws []int64) ([]ratEdg
 		return buf, ws, err
 	}
 	for _, e := range edges {
-		buf = append(buf, ratEdge{op: e.Op, p: prob.RatFromBig(e.P)})
+		var p prob.Rat
+		if mass {
+			p = prob.RatFromBig(e.P)
+		}
+		buf = append(buf, ratEdge{op: e.Op, p: p})
 	}
 	return buf, ws, nil
 }

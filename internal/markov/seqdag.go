@@ -2,6 +2,7 @@ package markov
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 
@@ -28,27 +29,26 @@ import (
 // through every edge. Build it once with BuildSequenceDAG; Sample is then
 // cheap (one walk down the DAG) and safe for concurrent callers.
 type SequenceDAG struct {
-	inst *repair.Instance
-	// nodes is keyed by the conflict key of each distinct database
-	// (repair.ConflictIndex), the same merge key ExploreDAG uses; root is
-	// the root's.
-	nodes map[string]*seqNode
-	root  string
+	root  *seqNode
 	total *big.Int
 	// states and edges mirror DAG.States / DAG.Edges.
 	states, edges int
 }
 
-// seqNode is one distinct database of the collapsed chain. counts[i] is
-// C(child of ops[i]), the number of complete sequences continuing through
-// that edge; count is Σ counts, or 1 at absorbing nodes (the empty
-// continuation). childKeys[i] references the packed key string the nodes
-// map already holds, so retaining it costs a pointer, not a copy.
+// seqNode is one distinct database of the collapsed chain, named by its
+// conflict key (repair.ConflictIndex), the same merge key ExploreDAG uses.
+// kids[i] is the node the edge ops[i] reaches and count the node's
+// completion count C: Σ C(kids[i]), or 1 at absorbing nodes (the empty
+// continuation). The edge weights C(kids[i]) are held as int64s with
+// their total when they fit (ws), and as big.Ints otherwise (big).
 type seqNode struct {
-	ops       []ops.Op
-	childKeys []string
-	counts    []*big.Int
-	count     *big.Int
+	key   string
+	ops   []ops.Op
+	kids  []*seqNode
+	count prob.Count
+	ws    []int64
+	total uint64
+	big   []*big.Int
 }
 
 // BuildSequenceDAG explores the support of a Collapsible chain M_Σ(D) and
@@ -58,25 +58,25 @@ type seqNode struct {
 // of distinct databases; opt.Workers sizes the per-level expansion pool
 // (the index is identical for every worker count — counts are exact
 // integers and the merge is key-ordered). The downward pass is ExploreDAG's
-// level sweep, recording each node's edges; the upward pass then fills in
-// the completion counts.
+// level sweep without walk masses, recording each node's edges; the upward
+// pass then fills in the completion counts.
 func BuildSequenceDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*SequenceDAG, error) {
-	sd := &SequenceDAG{inst: inst, nodes: map[string]*seqNode{}}
-	// Node keys in sweep (decreasing-size) order, replayed reversed by the
-	// upward count sweep.
-	var order []string
-	var cur *seqNode
+	sd := &SequenceDAG{}
+	nodes := map[string]*seqNode{}
+	// Nodes in sweep (decreasing-size) order, replayed reversed by the
+	// upward count sweep; kidKeys[i] are the child keys of order[i].
+	var order []*seqNode
+	var kidKeys [][]string
 	var err error
-	sd.states, sd.edges, err = sweep(inst, g, opt, func(n *dagNode, edges []ratEdge) {
-		order = append(order, n.key)
-		cur = &seqNode{
-			ops:       make([]ops.Op, 0, len(edges)),
-			childKeys: make([]string, 0, len(edges)),
-		}
-		sd.nodes[n.key] = cur
+	sd.states, sd.edges, err = sweep(inst, g, opt, false, func(n *dagNode, edges []ratEdge) {
+		cur := &seqNode{key: n.key, ops: make([]ops.Op, 0, len(edges))}
+		nodes[n.key] = cur
+		order = append(order, cur)
+		kidKeys = append(kidKeys, make([]string, 0, len(edges)))
 	}, func(_, cn *dagNode, e *ratEdge) {
+		cur := order[len(order)-1]
 		cur.ops = append(cur.ops, e.op)
-		cur.childKeys = append(cur.childKeys, cn.key)
+		kidKeys[len(kidKeys)-1] = append(kidKeys[len(kidKeys)-1], cn.key)
 	})
 	if err != nil {
 		return nil, err
@@ -85,22 +85,56 @@ func BuildSequenceDAG(inst *repair.Instance, g Generator, opt ExploreOptions) (*
 	// Upward sweep: every child sits on a strictly smaller level, hence
 	// later in order, so its count is final before its parents read it.
 	for i := len(order) - 1; i >= 0; i-- {
-		n := sd.nodes[order[i]]
+		n := order[i]
 		if len(n.ops) == 0 {
-			n.count = big.NewInt(1)
+			n.count = prob.CountOne()
 			continue
 		}
-		n.counts = make([]*big.Int, len(n.ops))
-		n.count = new(big.Int)
-		for j, ck := range n.childKeys {
-			c := sd.nodes[ck]
-			n.counts[j] = c.count
-			n.count.Add(n.count, c.count)
+		n.kids = make([]*seqNode, len(n.ops))
+		for j, ck := range kidKeys[i] {
+			c := nodes[ck]
+			if c == nil {
+				return nil, fmt.Errorf("markov: sequence DAG is missing node %x", ck)
+			}
+			n.kids[j] = c
+			n.count.Add(&c.count)
 		}
+		n.setWeights()
 	}
 	sd.root = order[0]
-	sd.total = sd.nodes[sd.root].count
+	sd.total = sd.root.count.Big()
 	return sd, nil
+}
+
+// setWeights fills the node's edge weights from its children's counts:
+// int64s and their total when every count fits in an int64 and the total
+// in a uint64 — the range where prob.PickIntSum returns the index
+// prob.PickBigInt would — and big.Ints otherwise.
+func (n *seqNode) setWeights() {
+	ws := make([]int64, len(n.kids))
+	var total uint64
+	for i, c := range n.kids {
+		v, ok := c.count.Uint64()
+		sum := total + v
+		if !ok || v > math.MaxInt64 || sum < total {
+			n.big = make([]*big.Int, len(n.kids))
+			for j, c := range n.kids {
+				n.big[j] = c.count.Big()
+			}
+			return
+		}
+		ws[i], total = int64(v), sum
+	}
+	n.ws, n.total = ws, total
+}
+
+// pick draws the index of the next edge with probability proportional to
+// its completion count, consuming one RNG draw.
+func (n *seqNode) pick(rng *rand.Rand) int {
+	if n.big != nil {
+		return prob.PickBigInt(rng, n.big)
+	}
+	return prob.PickIntSum(rng, n.ws, n.total)
 }
 
 // Total returns C(root), the number of complete sequences of the support —
@@ -116,25 +150,17 @@ func (sd *SequenceDAG) States() int { return sd.states }
 func (sd *SequenceDAG) Edges() int { return sd.edges }
 
 // Sample draws one complete repairing sequence uniformly at random from the
-// chain's support and returns its absorbing state. Each of the Total()
-// complete sequences is drawn with probability exactly 1/Total(): the walk
-// steps into each child with probability proportional to the number of
-// completions below it, which telescopes to the uniform distribution over
-// complete sequences. One RNG draw is consumed per step. Safe for
-// concurrent callers with distinct RNGs.
-func (sd *SequenceDAG) Sample(rng *rand.Rand) (*repair.State, error) {
-	s := sd.inst.Root()
-	n := sd.nodes[sd.root]
+// chain's support and appends the conflict key of its absorbing state to
+// dst. Each of the Total() complete sequences is drawn with probability
+// exactly 1/Total(): the walk steps into each child with probability
+// proportional to the number of completions below it, which telescopes to
+// the uniform distribution over complete sequences. The walk visits node
+// keys only, and consumes one RNG draw per step. Safe for concurrent
+// callers with distinct RNGs.
+func (sd *SequenceDAG) Sample(rng *rand.Rand, dst []byte) []byte {
+	n := sd.root
 	for len(n.ops) > 0 {
-		i := prob.PickBigInt(rng, n.counts)
-		next := sd.nodes[n.childKeys[i]]
-		if next == nil {
-			return nil, fmt.Errorf("markov: sequence DAG is missing node %x", n.childKeys[i])
-		}
-		// The walk never revisits the parent, so the state's database is
-		// transferred, not cloned.
-		s = s.ChildInPlace(n.ops[i])
-		n = next
+		n = n.kids[n.pick(rng)]
 	}
-	return s, nil
+	return append(dst, n.key...)
 }

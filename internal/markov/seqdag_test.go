@@ -66,18 +66,20 @@ func TestSequenceDAGSampleIsUniform(t *testing.T) {
 	if sd.Total().Int64() != 9 {
 		t.Fatalf("chain-3 total = %s, want 9", sd.Total())
 	}
+	ix, err := inst.Conflicts()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 18000
 	rng := rand.New(rand.NewSource(7))
 	freq := map[string]int{}
+	var key []byte
 	for i := 0; i < n; i++ {
-		s, err := sd.Sample(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.IsSuccessful() {
+		key = sd.Sample(rng, key[:0])
+		if !ix.Consistent(key) {
 			t.Fatalf("draw %d: absorbing state is failing on a deletion-only chain", i)
 		}
-		freq[s.Result().Key()]++
+		freq[ix.Database(key).Key()]++
 	}
 	// Exact uniform result masses: {both ends}: 1/9, the four others: 2/9.
 	leaves, err := markov.ExploreDAG(inst, generators.Uniform{}, markov.ExploreOptions{})
@@ -109,11 +111,7 @@ func TestSequenceDAGSampleDeterministic(t *testing.T) {
 		var out []string
 		for i := 0; i < 50; i++ {
 			src.ReseedAt(42, i)
-			s, err := sd.Sample(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, s.Key())
+			out = append(out, string(sd.Sample(rng, nil)))
 		}
 		return out
 	}

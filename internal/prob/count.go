@@ -49,3 +49,7 @@ func (c *Count) Big() *big.Int {
 	}
 	return new(big.Int).SetUint64(c.small)
 }
+
+// Uint64 returns the value and true while it fits in a uint64, and false
+// once it has been promoted.
+func (c *Count) Uint64() (uint64, bool) { return c.small, c.promoted == nil }

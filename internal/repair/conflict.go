@@ -1,10 +1,13 @@
 package repair
 
 import (
-	"fmt"
+	"cmp"
+	"errors"
 	"slices"
+	"sync"
 
 	"repro/internal/ops"
+	"repro/internal/relation"
 )
 
 // ConflictIndex names the states of a TGD-free instance by the conflicted
@@ -21,12 +24,14 @@ import (
 // (deletions only remove violations), and its extensions are the root
 // extensions that lie inside one of those bodies, in the root's canonical
 // order — the rule deletionExtensions applies step by step — so both are
-// functions of the key. The index is immutable once built and safe for
-// concurrent use.
+// functions of the key. The index is immutable once built (the lists only
+// a Cursor reads are added once, on its first use) and safe for concurrent
+// use.
 type ConflictIndex struct {
-	root *State
-	// ids are the conflicted fact ids, ascending: bit i stands for ids[i].
-	ids    []uint32
+	inst *Instance
+	// facts are the conflicted facts by ascending interned id: bit i
+	// stands for facts[i].
+	facts  []relation.Fact
 	nbytes int
 	// bodyBits[bodyOff[b]:bodyOff[b+1]] are the bits of the b-th distinct
 	// root violation body (the two orientations of an EGD match share one).
@@ -36,29 +41,47 @@ type ConflictIndex struct {
 	// the j-th root extension.
 	owners []int32
 	ownOff []int32
+
+	// The inverse lists only a Cursor reads, built on its first use:
+	// factBodies[factOff[i]:factOff[i+1]] are the bodies holding bit i,
+	// and bodyExts[bodyExtOff[b]:bodyExtOff[b+1]] the root extensions
+	// body b owns, both ascending.
+	walkOnce   sync.Once
+	factBodies []int32
+	factOff    []int32
+	bodyExts   []int32
+	bodyExtOff []int32
 }
 
-// NewConflictIndex indexes the root of a TGD-free instance.
-func NewConflictIndex(inst *Instance) (*ConflictIndex, error) {
-	if inst.sigma.HasTGDs() {
-		return nil, fmt.Errorf("repair: conflict keys need a TGD-free constraint set")
-	}
-	root := inst.Root()
-	vios := root.Violations().ByID()
-	ix := &ConflictIndex{root: root}
-	for _, v := range vios {
-		for _, f := range v.BodyFacts() {
-			ix.ids = append(ix.ids, f.ID())
-		}
-	}
-	slices.Sort(ix.ids)
-	ix.ids = slices.Compact(ix.ids)
-	ix.nbytes = (len(ix.ids) + 7) / 8
+// errConflictTGDs is Conflicts' error under TGDs.
+var errConflictTGDs = errors.New("repair: conflict keys need a TGD-free constraint set")
 
-	// factBodies[i] lists the bodies holding bit i, so a body is checked
-	// for duplicates, and an extension for its owners, only against the
+// Conflicts returns the instance's conflict index, building it on first
+// use; every caller (the DAG sweeps, the sequence DAG, the estimator's
+// walks) shares it. It fails when Σ has TGDs.
+func (in *Instance) Conflicts() (*ConflictIndex, error) {
+	if in.sigma.HasTGDs() {
+		return nil, errConflictTGDs
+	}
+	in.conflictOnce.Do(func() { in.conflicts = newConflictIndex(in) })
+	return in.conflicts, nil
+}
+
+// newConflictIndex indexes the root of a TGD-free instance.
+func newConflictIndex(inst *Instance) *ConflictIndex {
+	vios := inst.rootVios().ByID()
+	ix := &ConflictIndex{inst: inst}
+	for _, v := range vios {
+		ix.facts = append(ix.facts, v.BodyFacts()...)
+	}
+	slices.SortFunc(ix.facts, func(a, b relation.Fact) int { return cmp.Compare(a.ID(), b.ID()) })
+	ix.facts = slices.Compact(ix.facts)
+	ix.nbytes = (len(ix.facts) + 7) / 8
+
+	// byFact[i] lists the bodies holding bit i, so a body is checked for
+	// duplicates, and an extension for its owners, only against the
 	// bodies of its first fact.
-	factBodies := make([][]int32, len(ix.ids))
+	byFact := make([][]int32, len(ix.facts))
 	ix.bodyOff = []int32{0}
 	for _, v := range vios {
 		start := len(ix.bodyBits)
@@ -66,7 +89,7 @@ func NewConflictIndex(inst *Instance) (*ConflictIndex, error) {
 			ix.bodyBits = append(ix.bodyBits, int32(ix.bit(f.ID())))
 		}
 		bits := ix.bodyBits[start:]
-		if slices.ContainsFunc(factBodies[bits[0]], func(b int32) bool {
+		if slices.ContainsFunc(byFact[bits[0]], func(b int32) bool {
 			return ix.inside(bits, b) && int(ix.bodyOff[b+1]-ix.bodyOff[b]) == len(bits)
 		}) {
 			ix.bodyBits = ix.bodyBits[:start] // an EGD match's other orientation
@@ -74,12 +97,12 @@ func NewConflictIndex(inst *Instance) (*ConflictIndex, error) {
 		}
 		b := int32(len(ix.bodyOff) - 1)
 		for _, i := range bits {
-			factBodies[i] = append(factBodies[i], b)
+			byFact[i] = append(byFact[i], b)
 		}
 		ix.bodyOff = append(ix.bodyOff, int32(len(ix.bodyBits)))
 	}
 
-	exts := root.Extensions()
+	exts := inst.rootExtensions()
 	ix.ownOff = make([]int32, 1, len(exts)+1)
 	var bits []int32
 	for _, op := range exts {
@@ -87,14 +110,44 @@ func NewConflictIndex(inst *Instance) (*ConflictIndex, error) {
 		for _, f := range op.Facts() {
 			bits = append(bits, int32(ix.bit(f.ID())))
 		}
-		for _, b := range factBodies[bits[0]] {
+		for _, b := range byFact[bits[0]] {
 			if ix.inside(bits, b) {
 				ix.owners = append(ix.owners, b)
 			}
 		}
 		ix.ownOff = append(ix.ownOff, int32(len(ix.owners)))
 	}
-	return ix, nil
+	return ix
+}
+
+// walkIndex builds the inverse lists a Cursor reads, once.
+func (ix *ConflictIndex) walkIndex() {
+	ix.walkOnce.Do(func() {
+		ix.factOff, ix.factBodies = invert(ix.bodyOff, ix.bodyBits, len(ix.facts))
+		ix.bodyExtOff, ix.bodyExts = invert(ix.ownOff, ix.owners, len(ix.bodyOff)-1)
+	})
+}
+
+// invert transposes the lists cols[off[r]:off[r+1]] of the rows r, whose
+// entries lie in [0, n): it returns, for every column c, the ascending
+// list rows[inv[c]:inv[c+1]] of the rows holding it.
+func invert(off, cols []int32, n int) (inv, rows []int32) {
+	inv = make([]int32, n+1)
+	for _, c := range cols {
+		inv[c+1]++
+	}
+	for c := range n {
+		inv[c+1] += inv[c]
+	}
+	rows = make([]int32, len(cols))
+	next := slices.Clone(inv[:n])
+	for r := 0; r+1 < len(off); r++ {
+		for _, c := range cols[off[r]:off[r+1]] {
+			rows[next[c]] = int32(r)
+			next[c]++
+		}
+	}
+	return inv, rows
 }
 
 // inside reports whether body b holds every bit of bits.
@@ -110,30 +163,83 @@ func (ix *ConflictIndex) inside(bits []int32, b int32) bool {
 
 // bit returns the index of a fact id among the conflicted facts, or -1.
 func (ix *ConflictIndex) bit(id uint32) int {
-	if i, ok := slices.BinarySearch(ix.ids, id); ok {
-		return i
+	lo, hi := 0, len(ix.facts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.facts[mid].ID() < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ix.facts) && ix.facts[lo].ID() == id {
+		return lo
 	}
 	return -1
 }
 
-// Root returns the root state the index was built from.
-func (ix *ConflictIndex) Root() *State { return ix.root }
+// Bit returns the key bit of a conflicted fact, or -1 for a fact in no
+// root violation body.
+func (ix *ConflictIndex) Bit(f relation.Fact) int { return ix.bit(f.ID()) }
+
+// Root returns a root state of the indexed instance.
+func (ix *ConflictIndex) Root() *State { return ix.inst.Root() }
 
 // Conflicted reports the number of conflicted facts: the root key's
 // popcount, and the depth of the level sweep over keys.
-func (ix *ConflictIndex) Conflicted() int { return len(ix.ids) }
+func (ix *ConflictIndex) Conflicted() int { return len(ix.facts) }
 
 // RootKey returns the key of the root: every conflicted fact present.
-func (ix *ConflictIndex) RootKey() string {
-	key := make([]byte, ix.nbytes)
-	for i := range ix.ids {
-		key[i>>3] |= 1 << (i & 7)
+func (ix *ConflictIndex) RootKey() string { return string(ix.appendRootKey(nil)) }
+
+// appendRootKey appends the root key to dst.
+func (ix *ConflictIndex) appendRootKey(dst []byte) []byte {
+	start := len(dst)
+	for range ix.nbytes {
+		dst = append(dst, 0)
 	}
-	return string(key)
+	for i := range ix.facts {
+		dst[start+(i>>3)] |= 1 << (i & 7)
+	}
+	return dst
 }
 
-// has reports whether bit i is set in key.
-func has(key string, i int32) bool { return key[i>>3]&(1<<(i&7)) != 0 }
+// Holds reports whether the state named by key still holds the conflicted
+// fact of bit i.
+func Holds[K ~string | ~[]byte](key K, i int) bool { return key[i>>3]&(1<<(i&7)) != 0 }
+
+// holdsBody reports whether key holds every fact of body b.
+func holdsBody[K ~string | ~[]byte](ix *ConflictIndex, key K, b int) bool {
+	for _, i := range ix.bodyBits[ix.bodyOff[b]:ix.bodyOff[b+1]] {
+		if !Holds(key, int(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Consistent reports whether the state named by key satisfies Σ: it holds
+// no root violation body whole.
+func (ix *ConflictIndex) Consistent(key []byte) bool {
+	for b := range len(ix.bodyOff) - 1 {
+		if holdsBody(ix, key, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// Database returns a new database for the state named by key: the initial
+// database minus the conflicted facts the key does not hold.
+func (ix *ConflictIndex) Database(key []byte) *relation.Database {
+	db := ix.inst.initial.Clone()
+	for i, f := range ix.facts {
+		if !Holds(key, i) {
+			db.Delete(f)
+		}
+	}
+	return db
+}
 
 // AppendExtensions appends to dst the extensions of the state whose key is
 // key, in canonical order: the root extensions inside some root violation
@@ -149,14 +255,7 @@ func (ix *ConflictIndex) AppendExtensions(dst []ops.Op, key string) []ops.Op {
 	}
 	someHeld := false
 	for b := 0; b < nb; b++ {
-		in := true
-		for _, i := range ix.bodyBits[ix.bodyOff[b]:ix.bodyOff[b+1]] {
-			if !has(key, i) {
-				in = false
-				break
-			}
-		}
-		if in {
+		if holdsBody(ix, key, b) {
 			held[b>>6] |= 1 << (b & 63)
 			someHeld = true
 		}
@@ -164,15 +263,23 @@ func (ix *ConflictIndex) AppendExtensions(dst []ops.Op, key string) []ops.Op {
 	if !someHeld {
 		return dst
 	}
-	for j, op := range ix.root.Extensions() {
-		for _, b := range ix.owners[ix.ownOff[j]:ix.ownOff[j+1]] {
-			if held[b>>6]&(1<<(b&63)) != 0 {
-				dst = append(dst, op)
-				break
-			}
+	for j, op := range ix.inst.rootExtensions() {
+		if ix.owned(j, held) {
+			dst = append(dst, op)
 		}
 	}
 	return dst
+}
+
+// owned reports whether some owner body of the j-th root extension is set
+// in the body bitset held.
+func (ix *ConflictIndex) owned(j int, held []uint64) bool {
+	for _, b := range ix.owners[ix.ownOff[j]:ix.ownOff[j+1]] {
+		if held[b>>6]&(1<<(b&63)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // AppendChildKey appends to dst the key of the state reached from key by
@@ -187,7 +294,7 @@ func (ix *ConflictIndex) AppendChildKey(dst []byte, key string, op ops.Op) (_ []
 	dst = append(dst, key...)
 	for _, f := range op.Facts() {
 		i := ix.bit(f.ID())
-		if i < 0 || !has(key, int32(i)) {
+		if i < 0 || !Holds(key, i) {
 			return dst[:start], false
 		}
 		dst[start+(i>>3)] &^= 1 << (i & 7)

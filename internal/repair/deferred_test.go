@@ -38,7 +38,7 @@ func TestQuickDeferredChildMatchesChild(t *testing.T) {
 			Keys: 45, Violations: 40, Seed: seed,
 		}))
 		for name, inst := range instances {
-			ix, err := repair.NewConflictIndex(inst)
+			ix, err := inst.Conflicts()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,17 +16,26 @@
 //     incremental bookkeeping to check Definition 4 per step. States form
 //     a tree; Child builds the child in fresh storage and only reads the
 //     parent (databases are copy-on-write, bookkeeping is id-sorted
-//     slices), ChildInPlace hands the parent's storage on for walk-style
-//     exploration that discards the parent. Child and ChildInPlace are the
-//     reference transitions of the tree engine and the walks.
-//   - ConflictIndex and DeferredChild (conflict.go): the DAG engines'
-//     TGD-free states. Every reachable database is the initial one minus
-//     some of the root's conflicted facts, so a ConflictIndex names a
-//     state by the bitset of the conflicted facts it still holds, derives
-//     a child's key by clearing the operation's bits, and a state's
-//     extensions by filtering the root's. DeferredChild makes the state
-//     in O(1) from its parent, operation and extension list; its database
-//     and violations are built from the root on first read.
+//     slices) and is the reference transition of the tree engine;
+//     ChildInPlace hands the parent's storage on for walks under TGDs,
+//     which discard the parent.
+//   - ConflictIndex and DeferredChild (conflict.go): TGD-free states as
+//     conflict keys. Every reachable database is the initial one minus
+//     some of the root's conflicted facts, so a ConflictIndex — built
+//     once per Instance on first use (Instance.Conflicts) and shared by
+//     the DAG sweeps and the walks — names a state by the bitset of the
+//     conflicted facts it still holds, derives a child's key by clearing
+//     the operation's bits, and a state's extensions by filtering the
+//     root's. DeferredChild makes the state in O(1) from its parent,
+//     operation and extension list for the DAG sweep; its database and
+//     violations are built from the root on first read.
+//   - Cursor (cursor.go): the walkers' step. Without TGDs it advances a
+//     conflict key, a bitset of held root bodies and the live extension
+//     list in place (O(bodies the operation touches + live extensions),
+//     no allocation once warm); its state's database and violations stay
+//     pending and catch up in place, by the operations taken since the
+//     last read, when a generator or caller reads them. Under TGDs a step
+//     is ChildInPlace.
 //   - Walk / Survey / Validate (walk.go): a full-tree traversal, summary
 //     statistics, and an independent from-scratch transcription of
 //     Definition 4 that the property tests check the incremental State
@@ -36,31 +45,36 @@
 //
 //   - States are immutable after creation, except that the first
 //     Result or Violations call on a DeferredChild builds them (so that
-//     first read must not race another call on the same state);
-//     Extensions() is cached, deterministic, and canonically ordered
-//     (ops.SortOps order).
+//     first read must not race another call on the same state), and that
+//     a Cursor's state moves with the cursor (valid until its next Step
+//     or Reset); Extensions() is cached, deterministic, and canonically
+//     ordered (ops.SortOps order).
 //   - For TGD-free Σ the operation space is deletion-only: a step can only
 //     remove violations and extensions. The child's violations are the
 //     parent's filtered by the EGD/DC deletion rule
 //     (constraint.Violations.DeleteFacts), and its extensions are the
-//     parent's filtered to the surviving violation bodies, re-checking only
-//     the operations that meet an eliminated body. Child and ChildInPlace
-//     share this one transition (deletionChild); it is also the structural
-//     fact behind the DAG collapse in internal/markov. A DeferredChild
-//     reaches the same state in one step from the root: the initial
-//     database minus every deleted fact, the root violations minus those
-//     that lose a body fact (constraint.Violations.WithoutFacts).
+//     parent's filtered to the surviving violation bodies. Child runs this
+//     transition into fresh storage (deletionChild, re-checking only the
+//     operations that meet an eliminated body); a Cursor and the DAG
+//     sweep read the same filter off the conflict key — the root
+//     extensions with an owner body the key still holds, in root order —
+//     and it is the structural fact behind the DAG collapse in
+//     internal/markov. A DeferredChild reaches the same state in one step
+//     from the root: the initial database minus every deleted fact, the
+//     root violations minus those that lose a body fact
+//     (constraint.Violations.WithoutFacts).
 //   - Without TGDs no Definition 4 history (eliminated violations, added
 //     and removed facts) is kept: admissibility is automatic, so nothing
 //     reads it.
-//   - ChildInPlace hands the receiver's database, violation set and
-//     extension list on to the child, which updates them in place. The
-//     receiver and anything it handed out (Violations, Extensions) must not
-//     be used afterwards; its database, violations and extensions are
-//     nilled to surface misuse.
-//   - The instance's root caches (rootViolations, rootExts) are shared by
-//     every root state and every concurrent walker and are never written:
-//     the first step of a walk filters them into fresh storage.
+//   - ChildInPlace (under TGDs; without them it is Child) hands the
+//     receiver's database and violation set on to the child, which
+//     updates them in place. The receiver must not be used afterwards;
+//     its database is nilled to surface misuse.
+//   - The instance's root caches (rootViolations, rootExts, the conflict
+//     index) are shared by every root state and every concurrent walker
+//     and are never written: a cursor copies the root extension list into
+//     its own buffer at Reset, and clones the root violations on the
+//     first read of a walk.
 //
 // # Neighbors
 //

@@ -65,39 +65,61 @@ func opKeys(list []ops.Op) []string {
 }
 
 // TestQuickInPlaceStepMatchesChildAndScratch walks random TGD-free
-// instances with ChildInPlace. At every step the in-place state's
-// violation ids and extension list must equal those of a twin built with
-// Child, and those recomputed from scratch on the state's database
-// (FindViolations and the justified-operation enumeration); the final
-// sequence must pass the Definition 4 validator. Every other walk leaves
-// the in-place state's extensions unrequested on alternate steps, so the
-// step also runs with an unknown parent list.
+// instances with a Cursor, whose steps advance a conflict key and filter
+// the live extension list in place. At every step the cursor state's
+// extension list must equal that of a twin built with Child and the one
+// recomputed from scratch on the twin's database (the justified-operation
+// enumeration), its consistency must match, and its key must be the one
+// AppendChildKey derives; the final sequence must pass the Definition 4
+// validator. The cursor's pending database and violations are read on
+// every step of even walks and only on alternate steps of odd ones, so
+// they also catch up over several operations at once, and must then equal
+// the twin's and those recomputed from scratch (FindViolations). 70 key
+// groups need more than one machine word of held bodies.
 func TestQuickInPlaceStepMatchesChildAndScratch(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		for name, inst := range tgdFreeInstances(seed) {
+		instances := tgdFreeInstances(seed)
+		instances["keys-wide"] = repair.MustInstance(workload.KeyViolations(workload.KeyConfig{
+			Keys: 80, Violations: 70, Seed: seed,
+		}))
+		for name, inst := range instances {
 			sigma := inst.Sigma()
+			ix, err := inst.Conflicts()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := inst.NewCursor()
 			for walk := 0; walk < 4; walk++ {
 				rng := rand.New(rand.NewSource(seed*100 + int64(walk)))
 				lazy := walk%2 == 1
-				s, twin := inst.Root(), inst.Root()
+				s, twin, key := cur.Reset(), inst.Root(), ix.RootKey()
 				var seq []ops.Op
 				for step := 0; ; step++ {
-					scratch := constraint.FindViolations(s.Result(), sigma)
+					scratch := constraint.FindViolations(twin.Result(), sigma)
 					want := violationIDs(scratch)
-					if got := violationIDs(s.Violations()); !slices.Equal(got, want) {
-						t.Fatalf("%s walk %d step %d: in-place violations %v, from scratch %v", name, walk, step, got, want)
-					}
 					if got := violationIDs(twin.Violations()); !slices.Equal(got, want) {
 						t.Fatalf("%s walk %d step %d: Child violations %v, from scratch %v", name, walk, step, got, want)
 					}
 					exts := twin.Extensions()
-					wantExts := opKeys(ops.JustifiedOps(s.Result(), sigma, scratch, inst.Base()))
+					wantExts := opKeys(ops.JustifiedOps(twin.Result(), sigma, scratch, inst.Base()))
 					if got := opKeys(exts); !slices.Equal(got, wantExts) {
 						t.Fatalf("%s walk %d step %d: Child extensions %v, from scratch %v", name, walk, step, got, wantExts)
 					}
-					if !lazy || step%2 == 0 {
-						if got := opKeys(s.Extensions()); !slices.Equal(got, wantExts) {
-							t.Fatalf("%s walk %d step %d: in-place extensions %v, from scratch %v", name, walk, step, got, wantExts)
+					if got := opKeys(s.Extensions()); !slices.Equal(got, wantExts) {
+						t.Fatalf("%s walk %d step %d: cursor extensions %v, from scratch %v", name, walk, step, got, wantExts)
+					}
+					if s.Consistent() != scratch.Empty() || ix.Consistent(cur.Key()) != scratch.Empty() {
+						t.Fatalf("%s walk %d step %d: cursor consistency disagrees with the violations %v", name, walk, step, want)
+					}
+					if string(cur.Key()) != key {
+						t.Fatalf("%s walk %d step %d: cursor key %x, AppendChildKey %x", name, walk, step, cur.Key(), key)
+					}
+					if !lazy || step%2 == 0 || len(exts) == 0 {
+						if got := violationIDs(s.Violations()); !slices.Equal(got, want) {
+							t.Fatalf("%s walk %d step %d: cursor violations %v, from scratch %v", name, walk, step, got, want)
+						}
+						if got, want := s.Result().Key(), twin.Result().Key(); got != want {
+							t.Fatalf("%s walk %d step %d: cursor database %s, Child %s", name, walk, step, got, want)
 						}
 					}
 					if len(exts) == 0 {
@@ -105,11 +127,13 @@ func TestQuickInPlaceStepMatchesChildAndScratch(t *testing.T) {
 					}
 					op := exts[rng.Intn(len(exts))]
 					seq = append(seq, op)
+					child, _ := ix.AppendChildKey(nil, key, op)
+					key = string(child)
 					twin = twin.Child(op)
-					s = s.ChildInPlace(op)
+					s = cur.Step(op)
 				}
-				if !slices.Equal(opKeys(s.Ops()), opKeys(seq)) {
-					t.Fatalf("%s walk %d: in-place state records %v, walked %v", name, walk, s.Ops(), seq)
+				if !slices.Equal(opKeys(s.Ops()), opKeys(seq)) || s.Len() != len(seq) || s.String() != twin.String() {
+					t.Fatalf("%s walk %d: cursor state records %v, walked %v", name, walk, s.Ops(), seq)
 				}
 				if err := repair.Validate(inst, seq); err != nil {
 					t.Fatalf("%s walk %d: %v", name, walk, err)

@@ -49,6 +49,11 @@ type Instance struct {
 	// of the instance and is computed once (see State.Extensions).
 	rootExtOnce sync.Once
 	rootExts    []ops.Op
+
+	// conflicts is the conflict index of a TGD-free instance, built on
+	// first use (see Conflicts).
+	conflictOnce sync.Once
+	conflicts    *ConflictIndex
 }
 
 // NewInstance builds the context for repairing d under sigma. The database
@@ -154,4 +159,14 @@ func (in *Instance) rootVios() *constraint.Violations {
 		in.rootViolations = constraint.FindViolations(in.initial.Clone(), in.sigma)
 	})
 	return in.rootViolations
+}
+
+// rootExtensions returns the valid extensions of the empty sequence,
+// computing them on first use; the list is shared and must not be
+// modified.
+func (in *Instance) rootExtensions() []ops.Op {
+	in.rootExtOnce.Do(func() {
+		in.rootExts = in.Root().computeExtensions()
+	})
+	return in.rootExts
 }

@@ -16,17 +16,25 @@ import (
 // sequence ε and each child extends its parent by one operation.
 //
 // States are immutable after creation, except that ChildInPlace hands a
-// state's storage on to its child, and that a DeferredChild builds its
-// database and violations on first read; Child produces new states. The
-// database is copy-on-write (children share the instance's sealed snapshot
-// and carry only their op deltas) and the bookkeeping sets are keyed by
-// interned fact and violation ids, so spawning a child costs O(depth)
-// small-integer map entries instead of O(|D|) string operations.
+// state's storage on to its child, that a DeferredChild builds its
+// database and violations on first read, and that a Cursor's state moves
+// with the cursor; Child produces new states. The database is
+// copy-on-write (children share the instance's sealed snapshot and carry
+// only their op deltas) and the bookkeeping sets are keyed by interned
+// fact and violation ids, so spawning a child costs O(depth) small-integer
+// map entries instead of O(|D|) string operations.
 type State struct {
-	inst       *Instance
-	parent     *State
-	op         ops.Op // operation that produced this state (zero at root)
-	depth      int
+	inst   *Instance
+	parent *State
+	op     ops.Op // operation that produced this state (zero at root)
+	// depth is int32 so that it packs with the two flags below: State
+	// allocations, one per step of a walk under TGDs, stay in their size
+	// class.
+	depth     int32
+	extsReady bool // extensions holds the valid extensions
+	// deferred marks a DeferredChild whose db and violations are not built
+	// yet (see materialize).
+	deferred   bool
 	db         *relation.Database     // D^s_i, owned by this state
 	violations *constraint.Violations // V(D^s_i, Σ)
 	// Definition 4 history, kept only when Σ has TGDs (without them
@@ -35,10 +43,9 @@ type State struct {
 	added      relation.FactSet // facts inserted so far
 	removed    relation.FactSet // facts deleted so far
 	extensions []ops.Op         // cached valid extensions (nil until computed)
-	extsReady  bool
-	// deferred marks a DeferredChild whose db and violations are not built
-	// yet (see materialize).
-	deferred bool
+	// cursor is set on the state a TGD-free Cursor hands out: its
+	// operations, database and violations live in the cursor.
+	cursor *Cursor
 }
 
 // idSet is a sorted set of violation ids; cloning is a single copy and
@@ -88,10 +95,13 @@ func (s idSet) clone(extra int) idSet {
 func (s *State) Instance() *Instance { return s.inst }
 
 // Len reports the length of the sequence.
-func (s *State) Len() int { return s.depth }
+func (s *State) Len() int { return int(s.depth) }
 
 // Ops returns the operations of the sequence in order.
 func (s *State) Ops() []ops.Op {
+	if s.cursor != nil {
+		return slices.Clone(s.cursor.path)
+	}
 	out := make([]ops.Op, s.depth)
 	for cur := s; cur.parent != nil; cur = cur.parent {
 		out[cur.depth-1] = cur.op
@@ -101,9 +111,13 @@ func (s *State) Ops() []ops.Op {
 
 // Result returns the database produced by the sequence; callers must not
 // modify it (use Result().Clone() to mutate). The first call on a
-// DeferredChild builds it.
+// DeferredChild builds it; on a Cursor's state it catches up with the
+// steps taken since the last read.
 func (s *State) Result() *relation.Database {
-	if s.deferred {
+	switch {
+	case s.cursor != nil:
+		return s.cursor.result()
+	case s.deferred:
 		s.materialize()
 	}
 	return s.db
@@ -126,16 +140,25 @@ func idSearch(ids []uint32, id uint32) int {
 }
 
 // Violations returns V(D^s_i, Σ). The first call on a DeferredChild
-// builds it.
+// builds it; on a Cursor's state it catches up like Result.
 func (s *State) Violations() *constraint.Violations {
-	if s.deferred {
+	switch {
+	case s.cursor != nil:
+		return s.cursor.violations()
+	case s.deferred:
 		s.materialize()
 	}
 	return s.violations
 }
 
-// Consistent reports whether the current database satisfies Σ.
-func (s *State) Consistent() bool { return s.Violations().Empty() }
+// Consistent reports whether the current database satisfies Σ. A
+// Cursor's state answers from its held bodies, building nothing.
+func (s *State) Consistent() bool {
+	if s.cursor != nil {
+		return s.cursor.nheld == 0
+	}
+	return s.Violations().Empty()
+}
 
 // Key returns a canonical encoding of the sequence (the concatenated
 // operation keys), identifying the Markov-chain state.
@@ -167,7 +190,7 @@ func (s *State) String() string {
 // earlier operation, does not reintroduce an eliminated violation (req2),
 // and keeps every earlier addition globally justified. The result is
 // cached, deterministic, and canonically ordered; callers must not modify
-// it, and ChildInPlace on s reuses its storage for the child's list.
+// it.
 func (s *State) Extensions() []ops.Op {
 	if s.extsReady {
 		return s.extensions
@@ -177,10 +200,7 @@ func (s *State) Extensions() []ops.Op {
 		// violation set — so the enumeration is computed once per instance
 		// and shared by every walk. Callers must not modify the slice
 		// (which the cached contract already implies).
-		s.inst.rootExtOnce.Do(func() {
-			s.inst.rootExts = s.computeExtensions()
-		})
-		s.extensions, s.extsReady = s.inst.rootExts, true
+		s.extensions, s.extsReady = s.inst.rootExtensions(), true
 		return s.extensions
 	}
 	s.extensions, s.extsReady = s.computeExtensions(), true
@@ -193,8 +213,9 @@ func (s *State) computeExtensions() []ops.Op {
 	// removes a non-empty subset of some current violation body, nothing is
 	// ever inserted, and admissibility is automatic (no addition can be
 	// cancelled, no deletion can reintroduce an EGD/DC violation). Steps
-	// then derive a child's list from its parent's (deletionExtensions), so
-	// this runs only at the root and below a parent that never enumerated.
+	// then derive a child's list from its parent's (deletionExtensions, or
+	// a Cursor's and the DAG sweep's filter by conflict key), so this runs
+	// only at the root and below a parent that never enumerated.
 	deletionOnly := !s.inst.sigma.HasTGDs()
 
 	// Gather candidates (possibly with duplicates when violation bodies
@@ -233,7 +254,7 @@ func (s *State) computeExtensions() []ops.Op {
 
 // deletionExtensions derives a TGD-free child's extensions from its
 // parent's list exts, appending the kept operations to dst in the parent's
-// canonical order; dst may be exts[:0], which filters in place. Every
+// canonical order (Child is its one caller: the tree engines' step). Every
 // extension is a non-empty subset of a violation body (the justified
 // deletions), and the child's violations are the parent's minus gone, so
 // an operation stays iff it lies inside a surviving body. An operation
@@ -410,7 +431,7 @@ func (s *State) Child(op ops.Op) *State {
 	db := s.Result().Clone()
 	changed := op.Do(db)
 	if !s.inst.sigma.HasTGDs() {
-		return s.deletionChild(op, db, changed, false)
+		return s.deletionChild(op, db, changed)
 	}
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
@@ -446,23 +467,19 @@ func (s *State) Child(op ops.Op) *State {
 	}
 }
 
-// ChildInPlace is Child for walk-style exploration where the parent state
-// is discarded after stepping: the child takes over the receiver's
-// database, violation set and extension list and updates them in place.
-// For TGD-free Σ a step is then one filter of the violation set and one of
-// the extension list, with no copies. The root's violation set and
-// extension list are the instance's shared caches, so the first step of a
-// walk copies them and never writes to them. The receiver, and any slice
-// or set it handed out, must not be used after the call (its database,
-// violations and extensions are set to nil to surface misuse early).
+// ChildInPlace is Child for walk-style exploration under TGDs, where the
+// parent state is discarded after stepping: the child takes over the
+// receiver's database and violation set and updates them in place, and
+// extends the receiver's Definition 4 history in place. The receiver must
+// not be used after the call (its database is set to nil to surface
+// misuse early). Without TGDs it is Child: TGD-free walks step a Cursor,
+// which advances a conflict key instead of a database.
 func (s *State) ChildInPlace(op ops.Op) *State {
+	if !s.inst.sigma.HasTGDs() {
+		return s.Child(op)
+	}
 	db := s.Result()
 	changed := op.Do(db)
-	if !s.inst.sigma.HasTGDs() {
-		child := s.deletionChild(op, db, changed, s.parent != nil)
-		s.db, s.violations, s.extensions, s.extsReady = nil, nil, nil, false
-		return child
-	}
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
 	eliminated := s.eliminated
@@ -491,19 +508,15 @@ func (s *State) ChildInPlace(op ops.Op) *State {
 	}
 }
 
-// deletionChild is the TGD-free step shared by Child and ChildInPlace,
-// once op has been applied to db. Every operation is a deletion, which
-// can only remove violations and extensions: the child's violation set is
-// the receiver's filtered by the EGD/DC deletion rule, and its extension
-// list, when the receiver's is known, is the receiver's filtered by
-// deletionExtensions. inPlace filters the receiver's own storage;
-// otherwise the child gets fresh copies. No Definition 4 history is kept:
+// deletionChild is Child's TGD-free step, once op has been applied to db
+// (a copy of the receiver's). Every operation is a deletion, which can
+// only remove violations and extensions: the child's violation set is a
+// copy of the receiver's filtered by the EGD/DC deletion rule, and its
+// extension list, when the receiver's is known, is the receiver's
+// filtered by deletionExtensions. No Definition 4 history is kept:
 // admissible is never consulted without TGDs.
-func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relation.Fact, inPlace bool) *State {
-	vios := s.Violations()
-	if !inPlace {
-		vios = vios.Clone()
-	}
+func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relation.Fact) *State {
+	vios := s.Violations().Clone()
 	var goneBuf [8]constraint.Violation
 	gone := vios.DeleteFacts(changed, goneBuf[:0])
 	child := &State{
@@ -515,10 +528,7 @@ func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relati
 		violations: vios,
 	}
 	if s.extsReady {
-		dst := s.extensions[:0]
-		if !inPlace {
-			dst = make([]ops.Op, 0, len(s.extensions))
-		}
+		dst := make([]ops.Op, 0, len(s.extensions))
 		child.extensions, child.extsReady = deletionExtensions(dst, s.extensions, gone, vios.ByID()), true
 	}
 	return child

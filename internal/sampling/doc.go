@@ -13,11 +13,16 @@
 //     to the exact path, once markov.CheckedIntWeights accepts the
 //     weights (one per extension, non-negative, positive total within
 //     int64); other weights go through markov.Step, so a bad generator
-//     gets ErrNotWellDefined from every engine. Every step is
-//     repair.State.ChildInPlace: for TGD-free Σ it filters the walk's own
-//     violation set and extension list in place, so a step copies neither
-//     (the first step copies the instance's shared root caches, which no
-//     walk ever writes).
+//     gets ErrNotWellDefined from every engine. Every live step advances
+//     the worker's repair.Cursor. For TGD-free Σ that is a key walk: the
+//     step clears the operation's bits in the state's conflict key, drops
+//     the root violation bodies they held and filters the live extension
+//     list in place, with no allocation once warm; the state's database
+//     and violation set stay pending until a generator (preference,
+//     trust) or the answerer reads them, and then catch up in place by
+//     the operations taken since the last read. Uniform and
+//     uniform-deletions walks build neither. Under TGDs a cursor step is
+//     repair.State.ChildInPlace, which keeps the Definition 4 history.
 //   - The walk tree (walkMemo): when Σ has TGDs and the generator has
 //     integer weights, each estimator worker keeps a prefix tree of the
 //     chain, built lazily and keyed by the ops along each path. A kept
@@ -29,8 +34,8 @@
 //     (memoEntries) is spent. Under TGDs a live step enumerates additions
 //     over the base domain and re-checks Definition 4 against the whole
 //     sequence, and the estimator's walks share most prefixes. TGD-free
-//     walks keep the in-place live step: there most prefixes are
-//     distinct, and a tree only costs memory.
+//     walks keep the live key step: there most prefixes are distinct,
+//     and a tree only costs memory.
 //   - Estimator: n-walk estimation. For the walk-induced mode (the zero
 //     value of Mode) it is the additive-error scheme of Theorem 9:
 //     n = ⌈ln(2/δ)/(2ε²)⌉ samples put every tuple estimate within ε of
@@ -38,19 +43,26 @@
 //     generators.
 //   - Estimator.Mode = markov.SequenceUniform (uniform.go): estimates the
 //     uniform-over-sequences semantics. Collapsible chains get exact
-//     uniform draws via count-guided walks over a markov.SequenceDAG (the
+//     uniform draws via count-guided walks over a markov.SequenceDAG,
+//     which hand the drawn leaf's conflict key to the answerer (the
 //     Hoeffding guarantee carries over); everything else falls back to
 //     self-normalized importance sampling from the uniform-support walk
 //     (no finite-sample guarantee; Run.Weighted and Run.ESS report it).
 //   - Answering walks: when Σ has no TGDs every step deletes a fact of a
-//     root violation, so each result is D minus some involved facts. A
-//     conjunctive query whose output variables all occur in its body is
-//     then answered from its witness lineage (fo.Query.Lineage, built once
-//     per run over the initial database with the root's involved facts as
-//     the conflicted list): a successful walk marks the involved facts its
-//     result lacks and reads the answers off the lineage, for walk mode
-//     and both uniform paths alike. TGD instances (walks may insert facts)
-//     and other queries evaluate the query on every result.
+//     root violation, so each result is D minus some involved facts,
+//     named by its conflict key. A conjunctive query whose output
+//     variables all occur in its body is then answered from its witness
+//     lineage (fo.Query.Lineage, built once per run over the initial
+//     database with the root's involved facts as the conflicted list): a
+//     successful walk marks the involved facts its key no longer holds,
+//     through one precomputed key bit per fact, and reads the answers off
+//     the lineage, for walk mode and both uniform paths alike. TGD
+//     instances (walks may insert facts) and other queries evaluate the
+//     query on every result: a live walk's state catches up once, at the
+//     leaf; a count-guided draw's database is built from its key.
+//   - Failures: a panic in a worker (a generator's, say) is recovered and
+//     fails the call with markov.ErrPanicked, naming the walk, on one
+//     worker or many.
 //   - Run / TupleEstimate: results, sorted lexicographically by tuple.
 //
 // # Invariants (the determinism contract)

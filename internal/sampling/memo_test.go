@@ -145,7 +145,8 @@ func TestWalkMemoKeepsWithinBudget(t *testing.T) {
 	for _, budget := range []int{1, 40, memoEntries} {
 		for _, uniform := range []bool{false, true} {
 			m := &walkMemo{left: budget, ans: ans, dead: ans.scratch()}
-			st := &stepper{inst: tc.inst, gen: tc.gen, uniform: uniform, memo: m}
+			st := newStepper(tc.inst, tc.gen, uniform, 0)
+			st.memo = m
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
 			for i := 0; i < 300; i++ {
@@ -214,9 +215,9 @@ func TestWalkMemoBudgetErrorAtSameWalk(t *testing.T) {
 		}
 	}
 	for _, uniform := range []bool{false, true} {
-		live := &stepper{inst: inst, gen: est.Gen, uniform: uniform, maxSteps: longest - 1}
-		memo := &stepper{inst: inst, gen: est.Gen, uniform: uniform, maxSteps: longest - 1,
-			memo: &walkMemo{left: memoEntries, ans: ans, dead: ans.scratch()}}
+		live := newStepper(inst, est.Gen, uniform, longest-1)
+		memo := newStepper(inst, est.Gen, uniform, longest-1)
+		memo.memo = &walkMemo{left: memoEntries, ans: ans, dead: ans.scratch()}
 		wantEnds, wantFailed := walkAll(live)
 		gotEnds, gotFailed := walkAll(memo)
 		fails := 0
@@ -244,22 +245,21 @@ func TestWalkMemoBudgetErrorAtSameWalk(t *testing.T) {
 
 // walkState draws one live walk and returns its final state.
 func walkState(inst *repair.Instance, uniform bool, rng *rand.Rand) (*repair.State, error) {
-	st := &stepper{inst: inst, gen: generators.Uniform{}, uniform: uniform}
-	end, err := st.walk(rng)
+	end, err := newStepper(inst, generators.Uniform{}, uniform, 0).walk(rng)
 	return end.s, err
 }
 
 // describeEnd renders where a walk ended: success, log weight and the
 // query's answers, whether the end is a kept leaf or a live state.
 func describeEnd(end walkEnd, ans *answerer) string {
-	out := fmt.Sprintf("success=%v logW=%v", end.successful(), end.logW)
-	if !end.successful() {
+	out := fmt.Sprintf("success=%v logW=%v", end.success, end.logW)
+	if !end.success {
 		return out
 	}
 	if end.leaf != nil {
 		return fmt.Sprint(out, end.leaf.tuples)
 	}
-	_, tuples := ans.appendAnswers(end.s, ans.scratch(), nil, nil)
+	_, tuples := ans.appendAnswers(end, ans.scratch(), nil, nil)
 	return fmt.Sprint(out, tuples)
 }
 

@@ -156,51 +156,68 @@ type tallyCell struct {
 // Σ has no TGDs every operation is a deletion (with no TGD there is
 // nothing to insert, null or grounded), and every fact a walk deletes
 // belongs to a violation of the root — the violations of a subset of D
-// are violations of D. A conjunctive query whose output variables all
+// are violations of D — so a walk's result is named by its conflict key
+// (repair.ConflictIndex). A conjunctive query whose output variables all
 // occur in its body is then answered from its witness lineage over the
 // initial database, with the root's involved facts as the conflicted
-// list; any other query or Σ is evaluated on each walk's result.
+// list: a walk marks the ones its key no longer holds, through one
+// precomputed key bit per conflicted fact. Any other query or Σ is
+// evaluated on each walk's result.
 type answerer struct {
-	q          *fo.Query
-	lin        *fo.Lineage // nil: evaluate q on every result
-	conflicted []relation.Fact
+	q    *fo.Query
+	lin  *fo.Lineage           // nil: evaluate q on every result
+	ix   *repair.ConflictIndex // nil when Σ has TGDs
+	bits []int                 // bits[i]: key bit of the lineage's i-th conflicted fact
 }
 
 func (e *Estimator) answerer(q *fo.Query) *answerer {
 	a := &answerer{q: q}
-	if e.Inst.Sigma().HasTGDs() {
+	ix, err := e.Inst.Conflicts()
+	if err != nil {
 		return a
 	}
+	a.ix = ix
 	conflicted := e.Inst.Root().Violations().InvolvedFacts()
 	if lin, ok := q.Lineage(e.Inst.Initial(), conflicted); ok {
-		a.lin, a.conflicted = lin, conflicted
+		a.lin = lin
+		a.bits = make([]int, len(conflicted))
+		for i, f := range conflicted {
+			a.bits[i] = ix.Bit(f)
+		}
 	}
 	return a
 }
 
 // scratch returns a worker's buffer for forEach.
-func (a *answerer) scratch() []bool { return make([]bool, len(a.conflicted)) }
+func (a *answerer) scratch() []bool { return make([]bool, len(a.bits)) }
 
-// forEach calls emit once per answer of the query on s.Result(). dead is
-// the calling worker's scratch buffer; the tuple slice must not be
-// retained.
-func (a *answerer) forEach(s *repair.State, dead []bool, emit func(tuple []intern.Sym)) {
-	res := s.Result()
+// forEach calls emit once per answer of the query on the result of the
+// successful walk end. dead is the calling worker's scratch buffer; the
+// tuple slice must not be retained. Without a lineage the result is read
+// from the end state (a live walk's catches up once, here) or, for a
+// count-guided draw, built from its key.
+func (a *answerer) forEach(end walkEnd, dead []bool, emit func(tuple []intern.Sym)) {
 	if a.lin == nil {
+		var res *relation.Database
+		if end.s != nil {
+			res = end.s.Result()
+		} else {
+			res = a.ix.Database(end.key)
+		}
 		a.q.ForEachAnswerSyms(res, emit)
 		return
 	}
-	for i, f := range a.conflicted {
-		dead[i] = !res.Contains(f)
+	for i, b := range a.bits {
+		dead[i] = !repair.Holds(end.key, b)
 	}
 	a.lin.ForEachAnswer(dead, func(c int) { emit(a.lin.Candidates[c].Tuple) })
 }
 
 // appendAnswers appends the packed key and the names of every answer of
-// the query on s.Result() to keys and tuples.
-func (a *answerer) appendAnswers(s *repair.State, dead []bool, keys []string, tuples [][]string) ([]string, [][]string) {
+// the query on the result of the successful walk end to keys and tuples.
+func (a *answerer) appendAnswers(end walkEnd, dead []bool, keys []string, tuples [][]string) ([]string, [][]string) {
 	var packBuf [64]byte
-	a.forEach(s, dead, func(tuple []intern.Sym) {
+	a.forEach(end, dead, func(tuple []intern.Sym) {
 		keys = append(keys, string(intern.PackSyms(packBuf[:0], tuple)))
 		tuples = append(tuples, intern.Names(tuple))
 	})
@@ -247,6 +264,12 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 		go func(w, start, share int) {
 			defer wg.Done()
 			t := &tallies[w]
+			i := start
+			defer func() {
+				if r := recover(); r != nil {
+					t.err = fmt.Errorf("%w at walk %d: %v", markov.ErrPanicked, i, r)
+				}
+			}()
 			t.cells = map[string]*tallyCell{}
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
@@ -265,7 +288,7 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 				}
 				c.count++
 			}
-			for i := start; i < start+share; i++ {
+			for ; i < start+share; i++ {
 				// Each walk's randomness is a pure function of (Seed, walk
 				// index), never of the worker that happens to run the walk:
 				// partitioning the same n walks across any number of workers
@@ -277,7 +300,7 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 					t.err = err
 					return
 				}
-				if !end.successful() {
+				if !end.success {
 					t.failing++
 					continue
 				}
@@ -293,7 +316,7 @@ func (e *Estimator) runWith(ans *answerer, n int) (*Run, error) {
 					}
 					continue
 				}
-				ans.forEach(end.s, dead, tally)
+				ans.forEach(end, dead, tally)
 			}
 		}(w, start, share)
 		start += share

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -80,16 +81,27 @@ func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 		wg.Add(1)
 		go func(start, share int) {
 			defer wg.Done()
+			i := start
+			defer func() {
+				if r := recover(); r != nil {
+					draws[i].err = fmt.Errorf("%w at walk %d: %v", markov.ErrPanicked, i, r)
+				}
+			}()
 			src := &prob.SplitMix{}
 			rng := rand.New(src)
 			dead := ans.scratch()
-			st := e.stepper(ans, dead, true)
-			for i := start; i < start+share; i++ {
+			var st *stepper
+			if sdag == nil {
+				st = e.stepper(ans, dead, true)
+			}
+			var key []byte // the count-guided draws' key buffer
+			for ; i < start+share; i++ {
 				src.ReseedAt(e.Seed, i)
 				d := &draws[i]
 				var end walkEnd
 				if sdag != nil {
-					end.s, d.err = sdag.Sample(rng)
+					key = sdag.Sample(rng, key[:0])
+					end.key, end.success = key, ans.ix.Consistent(key)
 				} else {
 					end, d.err = st.walk(rng)
 					d.logW = end.logW
@@ -97,7 +109,7 @@ func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 				if d.err != nil {
 					return
 				}
-				if !end.successful() {
+				if !end.success {
 					continue
 				}
 				d.success = true
@@ -105,7 +117,7 @@ func (e *Estimator) runUniform(ans *answerer, n int) (*Run, error) {
 					d.keys, d.tuples = l.keys, l.tuples
 					continue
 				}
-				d.keys, d.tuples = ans.appendAnswers(end.s, dead, nil, nil)
+				d.keys, d.tuples = ans.appendAnswers(end, dead, nil, nil)
 			}
 		}(start, share)
 		start += share

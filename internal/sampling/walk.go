@@ -26,8 +26,7 @@ var ErrWalkBudget = errors.New("sampling: walk exceeded the step budget")
 // path's for the same seed. Other generators, and weights that fail
 // markov.CheckedIntWeights, go through markov.Step.
 func Walk(inst *repair.Instance, g markov.Generator, rng *rand.Rand, maxSteps int) (*repair.State, error) {
-	st := &stepper{inst: inst, gen: g, maxSteps: maxSteps}
-	end, err := st.walk(rng)
+	end, err := newStepper(inst, g, false, maxSteps).walk(rng)
 	return end.s, err
 }
 
@@ -47,22 +46,32 @@ var memoEntries = 1 << 12
 // (the extensions with positive weight) and adds log k, the support
 // size, to the walk's log weight.
 //
+// A live step advances the worker's repair.Cursor: without TGDs it moves
+// a conflict key and filters the live extension list, building a
+// database or violation set only if the generator or the answerer reads
+// one; under TGDs it is ChildInPlace.
+//
 // With a memo, a walk first descends the worker's walk tree, where every
 // kept node already holds its support, weights and child slots, so a
 // step there costs only its draw. At the first position the tree does
 // not hold, the walk rebuilds the state by replaying the path's ops from
-// the root with ChildInPlace and continues live, keeping a node for every
+// the root on the cursor and continues live, keeping a node for every
 // position it passes while the entry budget lasts. A kept node's content
 // is a pure function of its path and the draws are exactly the live
 // walk's, so memoized and live walks end in the same place.
 type stepper struct {
-	inst     *repair.Instance
 	gen      markov.Generator
 	uniform  bool
 	maxSteps int
+	cur      *repair.Cursor
 	ws       []int64   // weight scratch of live steps
 	support  []ops.Op  // support scratch of live uniform steps
 	memo     *walkMemo // nil: every step is live
+}
+
+// newStepper returns a stepper without a walk tree.
+func newStepper(inst *repair.Instance, g markov.Generator, uniform bool, maxSteps int) *stepper {
+	return &stepper{gen: g, uniform: uniform, maxSteps: maxSteps, cur: inst.NewCursor()}
 }
 
 // walkMemo is one worker's walk tree: a prefix tree of the chain, built
@@ -92,19 +101,15 @@ type walkNode struct {
 }
 
 // walkEnd is where a walk stopped: a leaf of the walk tree, or (off the
-// tree) the live absorbing state. logW is the SNIS log weight Σ log kᵢ of
-// a uniform-mode walk.
+// tree) the live absorbing state s with, without TGDs, its conflict key.
+// A count-guided uniform draw ends at a key alone. logW is the SNIS log
+// weight Σ log kᵢ of a uniform-mode walk.
 type walkEnd struct {
-	leaf *walkNode
-	s    *repair.State
-	logW float64
-}
-
-func (e walkEnd) successful() bool {
-	if e.leaf != nil {
-		return e.leaf.success
-	}
-	return e.s.IsSuccessful()
+	leaf    *walkNode
+	s       *repair.State
+	key     []byte
+	success bool
+	logW    float64
 }
 
 // stepper returns the stepper of one worker of e's run, answering kept
@@ -112,10 +117,10 @@ func (e walkEnd) successful() bool {
 // only where a live step is expensive — under TGDs, where every state
 // enumerates its additions and checks Definition 4 against the whole
 // sequence — and where the generator has integer weights to keep.
-// TGD-free steps are cheap in-place filters whose prefixes are mostly
-// distinct, so a tree there would only cost memory.
+// TGD-free steps are cheap key steps whose prefixes are mostly distinct,
+// so a tree there would only cost memory.
 func (e *Estimator) stepper(ans *answerer, dead []bool, uniform bool) *stepper {
-	st := &stepper{inst: e.Inst, gen: e.Gen, uniform: uniform, maxSteps: e.MaxSteps}
+	st := newStepper(e.Inst, e.Gen, uniform, e.MaxSteps)
 	if _, ok := e.Gen.(markov.IntWeighter); ok && memoEntries > 0 && e.Inst.Sigma().HasTGDs() {
 		st.memo = &walkMemo{left: memoEntries, ans: ans, dead: dead}
 	}
@@ -132,19 +137,20 @@ func (st *stepper) walk(rng *rand.Rand) (walkEnd, error) {
 		slot, node = &m.root, m.root
 		m.path = m.path[:0]
 	} else {
-		s = st.inst.Root()
+		s = st.cur.Reset()
 	}
 	for steps := 0; ; steps++ {
 		if node == nil {
 			if s == nil {
-				s = st.memo.replay(st.inst)
+				s = st.memo.replay(st.cur)
 			}
 			exts := s.Extensions()
 			if len(exts) == 0 {
 				if slot != nil {
 					end.leaf = st.memo.leaf(s, slot)
+					end.success = end.leaf.success
 				} else {
-					end.s = s
+					end.s, end.key, end.success = s, st.cur.Key(), s.IsSuccessful()
 				}
 				return end, nil
 			}
@@ -158,7 +164,7 @@ func (st *stepper) walk(rng *rand.Rand) (walkEnd, error) {
 				if err != nil {
 					return end, err
 				}
-				s, slot = s.ChildInPlace(op), nil
+				s, slot = st.cur.Step(op), nil
 				continue
 			}
 			if slot != nil {
@@ -169,12 +175,12 @@ func (st *stepper) walk(rng *rand.Rand) (walkEnd, error) {
 				if st.maxSteps > 0 && steps >= st.maxSteps {
 					return end, ErrWalkBudget
 				}
-				s, slot = s.ChildInPlace(st.pickLive(rng, exts, ws, total, &end.logW)), nil
+				s, slot = st.cur.Step(st.pickLive(rng, exts, ws, total, &end.logW)), nil
 				continue
 			}
 		}
 		if len(node.ops) == 0 {
-			end.leaf = node
+			end.leaf, end.success = node, node.success
 			return end, nil
 		}
 		if st.maxSteps > 0 && steps >= st.maxSteps {
@@ -191,7 +197,7 @@ func (st *stepper) walk(rng *rand.Rand) (walkEnd, error) {
 		slot = &node.kids[i]
 		node = *slot
 		if s != nil {
-			s = s.ChildInPlace(op)
+			s = st.cur.Step(op)
 		} else {
 			st.memo.path = append(st.memo.path, op)
 		}
@@ -236,14 +242,16 @@ func (st *stepper) stepExact(s *repair.State, rng *rand.Rand, steps int, logW *f
 	return edges[prob.Pick(rng, weights)].Op, nil
 }
 
-// replay rebuilds the state at the end of the current path. ChildInPlace
-// maintains the violation set and the Definition 4 history but never
-// enumerates extensions, which the kept nodes along the path already
-// hold, so a replay costs no more than the live steps it stands for.
-func (m *walkMemo) replay(inst *repair.Instance) *repair.State {
-	s := inst.Root()
+// replay rebuilds the state at the end of the current path on the
+// cursor. Under TGDs (the only place a walk tree is kept) a cursor step
+// is ChildInPlace, which maintains the violation set and the Definition 4
+// history but never enumerates extensions, which the kept nodes along the
+// path already hold, so a replay costs no more than the live steps it
+// stands for.
+func (m *walkMemo) replay(cur *repair.Cursor) *repair.State {
+	s := cur.Reset()
 	for _, op := range m.path {
-		s = s.ChildInPlace(op)
+		s = cur.Step(op)
 	}
 	return s
 }
@@ -281,7 +289,7 @@ func (m *walkMemo) keep(exts []ops.Op, ws []int64, uniform bool) *walkNode {
 func (m *walkMemo) leaf(s *repair.State, slot **walkNode) *walkNode {
 	n := &walkNode{success: s.IsSuccessful()}
 	if n.success {
-		n.keys, n.tuples = m.ans.appendAnswers(s, m.dead, nil, nil)
+		n.keys, n.tuples = m.ans.appendAnswers(walkEnd{s: s}, m.dead, nil, nil)
 	}
 	if cost := 1 + len(n.keys); m.left >= cost {
 		m.left -= cost
