@@ -484,6 +484,24 @@ func BenchmarkEstimatorWalks(b *testing.B) {
 	}
 }
 
+// BenchmarkPreferenceWalks is the Estimator end to end at a fixed n = 200
+// under the preference generator, on the preference tournament of
+// perfbench's approx-prefs-preference task: the one shipped generator
+// whose weights read the state, here off each walk's conflict key.
+func BenchmarkPreferenceWalks(b *testing.B) {
+	d, sigma := workload.Preferences(workload.PreferenceConfig{Products: 8, Prefs: 12, ConflictRate: 1, Seed: 1})
+	inst := repair.MustInstance(d, sigma)
+	x, y := logic.Var("x"), logic.Var("y")
+	q := fo.MustQuery("Q", []logic.Term{x, y}, fo.Atom{A: logic.NewAtom("Pref", x, y)})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est := &sampling.Estimator{Inst: inst, Gen: generators.Preference{}, Seed: int64(i)}
+		if _, err := est.EstimateWithN(q, 200); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkJustifiedOps measures operation enumeration at a repairing
 // state.
 func BenchmarkJustifiedOps(b *testing.B) {

@@ -499,8 +499,9 @@ const involvedScanMax = 32
 // returns false. Up to involvedScanMax violations it allocates nothing: a
 // body fact is a repeat iff an earlier body holds it (bodies are a
 // handful of distinct facts). Callers that only aggregate over the
-// involved facts — the preference generator's normalizing weight, at
-// every walk step — use it instead of building and sorting the set.
+// involved facts — the preference generator's normalizing weight under
+// TGDs, at every walk step — use it instead of building and sorting the
+// set.
 func (vs *Violations) ForEachInvolvedFact(visit func(relation.Fact) bool) {
 	vs.norm()
 	if len(vs.vs) > involvedScanMax {

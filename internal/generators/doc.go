@@ -13,6 +13,12 @@
 //   - Preference: weighs deletions by support counts across the whole
 //     database (Example 4) — memoryless but NOT local, the canonical
 //     witness that the DAG collapse needs less than factorization does.
+//     Without TGDs the weights are read off the state's conflict key
+//     (repair.State.ConflictKey) through a table built once per conflict
+//     index and predicate and held by the index, so neither a walk nor
+//     the DAG sweep builds a database for it; Transitions divides the
+//     same integer weights by the involved total. Under TGDs they are
+//     counted in the state's database.
 //   - Trust: per-fact trust levels (Example 5); NewTrust sets a default,
 //     Set overrides per fact.
 //   - WeightFunc: adapts a user callback. Deliberately NOT Markovian —

@@ -40,18 +40,19 @@ import (
 // BuildSequenceDAG share, over sorted chunks of the frontier (128 nodes
 // per worker), so the phase 1 buffers stay a chunk's size. Phase 1
 // (parallel): every frontier node gets its state — the
-// repair.State.DeferredChild of its creator edge, holding the key's
-// extension list but no database — resolves its edges via stepRats and
-// writes each edge's child key into its worker's byte arena. Phase 2
-// (sequential, sorted-key order): edges are merged into child nodes,
-// accumulating π with the small-rational fast path (prob.Rat) and sequence
-// counts with the small-integer one (prob.Count), and recording, for every
-// *distinct* new child, the deterministic (first in merge order) edge that
-// creates it. A deferred state builds its database and violations from the
-// root on first read, so generators that look only at the extensions
-// (uniform, uniform-deletions) build none at interior nodes, and absorbing
-// databases are built once, when their leaf is emitted — the only place
-// the human-readable Database.Key() is computed. Phase 2's merge order is
+// repair.State.DeferredChild of its creator edge, holding the node's key
+// and the key's extension list but no database — resolves its edges via
+// stepRats and writes each edge's child key into its worker's byte arena.
+// Phase 2 (sequential, sorted-key order): edges are merged into child
+// nodes, accumulating π with the small-rational fast path (prob.Rat) and
+// sequence counts with the small-integer one (prob.Count), and recording,
+// for every *distinct* new child, the deterministic (first in merge order)
+// edge that creates it. A deferred state builds its database and
+// violations from the root on first read, so generators that look only at
+// the extensions (uniform, uniform-deletions) or the conflict key
+// (preference) build none at interior nodes, and absorbing databases are
+// built once, when their leaf is emitted — the only place the
+// human-readable Database.Key() is computed. Phase 2's merge order is
 // independent of scheduling and exact arithmetic is order-insensitive, so
 // the result is bit-identical for every worker count. Once a level is
 // merged its nodes are recycled, so retained memory tracks the live
@@ -430,7 +431,7 @@ func expandChunk(ix *repair.ConflictIndex, g Generator, mass bool, nodes []*dagN
 		}()
 		if n.state == nil {
 			wk.exts = ix.AppendExtensions(wk.exts[:0], n.key)
-			n.state = n.parent.DeferredChild(n.op, wk.carve(wk.exts))
+			n.state = n.parent.DeferredChild(n.op, wk.carve(wk.exts), n.key)
 			n.parent, n.op = nil, ops.Op{}
 		}
 		var err error

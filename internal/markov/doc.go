@@ -51,9 +51,11 @@
 // child's key is its parent's with the operation's bits cleared, and a
 // node's extensions are the root's filtered by the key, so each level runs
 // in two phases: expand every frontier node (its state is a
-// repair.State.DeferredChild that holds the extension list but builds its
-// database and violations only when a generator or caller reads them),
-// then merge the edges in key order. Conflict keys are process-local (they
+// repair.State.DeferredChild that holds the extension list and the node's
+// key but builds its database and violations only when a generator or
+// caller reads them — the uniform generators read only the extensions,
+// the preference generator only the key), then merge the edges in key
+// order. Conflict keys are process-local (they
 // depend on interning order) and never leave the process. The tree engine
 // Explore merges its leaves by the packed sorted-fact-id encoding
 // (Database.IDKey). The presentation tier is the human-readable

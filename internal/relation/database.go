@@ -32,6 +32,21 @@ type snapshot struct {
 	// instead of re-enumerating and re-sorting the whole fact set.
 	idsOnce sync.Once
 	ids     []uint32
+
+	// byKey caches the facts with their keys in key order and keyLen the
+	// keys' total length, computed once per snapshot on the first Key call
+	// (Seal, which resident writers run every few hundred ingests, never
+	// pays for it); Key merges a database's delta against them instead of
+	// sorting every key.
+	byKeyOnce sync.Once
+	byKey     []keyedFact
+	keyLen    int
+}
+
+// keyedFact is a fact with its key.
+type keyedFact struct {
+	key string
+	f   Fact
 }
 
 // sortedFacts returns the snapshot's facts in canonical order; the shared
@@ -60,6 +75,24 @@ func (s *snapshot) sortedIDs() []uint32 {
 		s.ids = out
 	})
 	return s.ids
+}
+
+// keyOrder returns the snapshot's facts with their keys, sorted by key,
+// and the total length of the keys; the shared slice must not be
+// modified.
+func (s *snapshot) keyOrder() ([]keyedFact, int) {
+	s.byKeyOnce.Do(func() {
+		out := make([]keyedFact, 0, s.size)
+		n := 0
+		for f := range s.facts {
+			k := f.Key()
+			out = append(out, keyedFact{k, f})
+			n += len(k)
+		}
+		slices.SortFunc(out, func(a, b keyedFact) int { return strings.Compare(a.key, b.key) })
+		s.byKey, s.keyLen = out, n
+	})
+	return s.byKey, s.keyLen
 }
 
 var emptySnapshot = &snapshot{}
@@ -634,12 +667,41 @@ func (d *Database) SubsetOf(o *Database) bool {
 // Key returns a canonical encoding of the database contents, suitable for
 // grouping repairs that arise from different repairing sequences. The
 // encoding matches the string-keyed predecessor byte for byte (sorted fact
-// keys joined by ';'), so persisted groupings remain valid.
+// keys joined by ';'), so persisted groupings remain valid. The snapshot's
+// facts are sorted by key once per snapshot; a call merges the delta into
+// that order, skipping the removed facts and sorting only the added ones.
 func (d *Database) Key() string {
-	keys := make([]string, 0, d.size)
-	d.forEach(func(f Fact) { keys = append(keys, f.Key()) })
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	base, n := d.snap.keyOrder()
+	added := make([]string, len(d.added))
+	for i, f := range d.added {
+		added[i] = f.Key()
+		n += len(added[i])
+	}
+	sort.Strings(added)
+	var b strings.Builder
+	b.Grow(n + len(base) + len(added))
+	sep := false
+	write := func(k string) {
+		if sep {
+			b.WriteByte(';')
+		}
+		b.WriteString(k)
+		sep = true
+	}
+	ai := 0
+	for _, e := range base {
+		if len(d.removed) > 0 && d.removed.Has(e.f) {
+			continue
+		}
+		for ; ai < len(added) && added[ai] < e.key; ai++ {
+			write(added[ai])
+		}
+		write(e.key)
+	}
+	for _, k := range added[ai:] {
+		write(k)
+	}
+	return b.String()
 }
 
 // AppendFactIDs appends the interned ids of the database's facts to buf in

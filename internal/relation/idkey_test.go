@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -118,5 +120,44 @@ func TestAppendFactIDsMergesDeltas(t *testing.T) {
 			d.Insert(f)
 		}
 		check()
+	}
+}
+
+// TestKeyMatchesSortedJoin: across random insert/delete/clone/seal
+// histories, Key — the snapshot's cached key order merged with the delta
+// — is byte for byte the database's fact keys sorted with sort.Strings
+// and joined by ';'.
+func TestKeyMatchesSortedJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var universe []Fact
+	for i := 0; i < 30; i++ {
+		// Mixed predicates and argument lengths, so key order differs from
+		// id order and from the canonical fact order.
+		universe = append(universe, NewFact([]string{"R", "Pref", "S"}[i%3], fmt.Sprintf("c%d", i*7%13), fmt.Sprintf("d%d", i%5)))
+	}
+	want := func(d *Database) string {
+		var keys []string
+		for _, f := range d.Facts() {
+			keys = append(keys, f.Key())
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, ";")
+	}
+	dbs := []*Database{NewDatabase()}
+	for step := 0; step < 2000; step++ {
+		d := dbs[rng.Intn(len(dbs))]
+		switch r := rng.Intn(10); {
+		case r < 4:
+			d.Insert(universe[rng.Intn(len(universe))])
+		case r < 7:
+			d.Delete(universe[rng.Intn(len(universe))])
+		case r < 8:
+			d.Seal()
+		case r < 9:
+			dbs = append(dbs, d.Clone())
+		}
+		if got, w := d.Key(), want(d); got != w {
+			t.Fatalf("step %d: Key = %q, want %q", step, got, w)
+		}
 	}
 }

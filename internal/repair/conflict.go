@@ -3,8 +3,10 @@ package repair
 import (
 	"cmp"
 	"errors"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ops"
 	"repro/internal/relation"
@@ -31,8 +33,9 @@ type ConflictIndex struct {
 	inst *Instance
 	// facts are the conflicted facts by ascending interned id: bit i
 	// stands for facts[i].
-	facts  []relation.Fact
-	nbytes int
+	facts   []relation.Fact
+	nbytes  int
+	rootKey string // every bit set
 	// bodyBits[bodyOff[b]:bodyOff[b+1]] are the bits of the b-th distinct
 	// root violation body (the two orientations of an EGD match share one).
 	bodyBits []int32
@@ -51,6 +54,17 @@ type ConflictIndex struct {
 	factOff    []int32
 	bodyExts   []int32
 	bodyExtOff []int32
+
+	// tables holds Table's entries, copied on write so that lookups take
+	// no lock; tablesMu serializes the writers.
+	tablesMu sync.Mutex
+	tables   atomic.Pointer[map[TableKey]*table]
+}
+
+// table is one Table entry, built once.
+type table struct {
+	once sync.Once
+	t    any
 }
 
 // errConflictTGDs is Conflicts' error under TGDs.
@@ -77,6 +91,7 @@ func newConflictIndex(inst *Instance) *ConflictIndex {
 	slices.SortFunc(ix.facts, func(a, b relation.Fact) int { return cmp.Compare(a.ID(), b.ID()) })
 	ix.facts = slices.Compact(ix.facts)
 	ix.nbytes = (len(ix.facts) + 7) / 8
+	ix.rootKey = string(ix.appendRootKey(nil))
 
 	// byFact[i] lists the bodies holding bit i, so a body is checked for
 	// duplicates, and an extension for its owners, only against the
@@ -120,7 +135,8 @@ func newConflictIndex(inst *Instance) *ConflictIndex {
 	return ix
 }
 
-// walkIndex builds the inverse lists a Cursor reads, once.
+// walkIndex builds the inverse lists that a Cursor and ConflictKey read,
+// once.
 func (ix *ConflictIndex) walkIndex() {
 	ix.walkOnce.Do(func() {
 		ix.factOff, ix.factBodies = invert(ix.bodyOff, ix.bodyBits, len(ix.facts))
@@ -182,6 +198,17 @@ func (ix *ConflictIndex) bit(id uint32) int {
 // root violation body.
 func (ix *ConflictIndex) Bit(f relation.Fact) int { return ix.bit(f.ID()) }
 
+// Fact returns the conflicted fact of bit i.
+func (ix *ConflictIndex) Fact(i int) relation.Fact { return ix.facts[i] }
+
+// Bodies reports the number of distinct root violation bodies.
+func (ix *ConflictIndex) Bodies() int { return len(ix.bodyOff) - 1 }
+
+// Body returns the bits of the b-th distinct root violation body, in the
+// order of its facts in the first root violation (by id) with that body;
+// callers must not modify it.
+func (ix *ConflictIndex) Body(b int) []int32 { return ix.bodyBits[ix.bodyOff[b]:ix.bodyOff[b+1]] }
+
 // Root returns a root state of the indexed instance.
 func (ix *ConflictIndex) Root() *State { return ix.inst.Root() }
 
@@ -190,7 +217,121 @@ func (ix *ConflictIndex) Root() *State { return ix.inst.Root() }
 func (ix *ConflictIndex) Conflicted() int { return len(ix.facts) }
 
 // RootKey returns the key of the root: every conflicted fact present.
-func (ix *ConflictIndex) RootKey() string { return string(ix.appendRootKey(nil)) }
+func (ix *ConflictIndex) RootKey() string { return ix.rootKey }
+
+// appendKey appends to dst the key of a state whose database is db: the
+// conflicted facts db still holds.
+func (ix *ConflictIndex) appendKey(dst []byte, db *relation.Database) []byte {
+	start := len(dst)
+	for range ix.nbytes {
+		dst = append(dst, 0)
+	}
+	for i, f := range ix.facts {
+		if db.Contains(f) {
+			dst[start+(i>>3)] |= 1 << (i & 7)
+		}
+	}
+	return dst
+}
+
+// TableKey names a table that a package above derives from a conflict
+// index: Kind names the deriving code, Arg its parameter.
+type TableKey struct{ Kind, Arg string }
+
+// Table returns the table stored under key, building it with build on
+// first use — once per key, whatever the number of concurrent callers.
+// The index holds it, so it lives exactly as long as the instance; a
+// lookup takes no lock and allocates nothing.
+func (ix *ConflictIndex) Table(key TableKey, build func(*ConflictIndex) any) any {
+	e := ix.table(key)
+	e.once.Do(func() { e.t = build(ix) })
+	return e.t
+}
+
+// table returns the entry for key, adding it on first use.
+func (ix *ConflictIndex) table(key TableKey) *table {
+	if m := ix.tables.Load(); m != nil {
+		if e, ok := (*m)[key]; ok {
+			return e
+		}
+	}
+	ix.tablesMu.Lock()
+	defer ix.tablesMu.Unlock()
+	old := ix.tables.Load()
+	if old != nil {
+		if e, ok := (*old)[key]; ok {
+			return e
+		}
+	}
+	m := make(map[TableKey]*table, 1)
+	if old != nil {
+		maps.Copy(m, *old)
+	}
+	e := new(table)
+	m[key] = e
+	ix.tables.Store(&m)
+	return e
+}
+
+// ConflictKey is a TGD-free state read as its conflict key: which
+// conflicted facts it holds, which root violation bodies it holds whole,
+// and so which facts are involved in its violations — everything
+// State.Violations would give a generator about them, without a database
+// or a violation set. A Cursor's key is read in place and valid until the
+// cursor's next Step or Reset.
+type ConflictKey struct {
+	ix    *ConflictIndex
+	str   string   // the key, unless bytes holds it
+	bytes []byte   // a Cursor's or a derived key
+	held  []uint64 // a Cursor's held-body bitset; nil: bodies are read off the key
+}
+
+// Index returns the conflict index that names the key's bits and bodies.
+func (k *ConflictKey) Index() *ConflictIndex { return k.ix }
+
+// Holds reports whether the state holds the conflicted fact of bit i.
+func (k *ConflictKey) Holds(i int) bool {
+	if k.bytes != nil {
+		return Holds(k.bytes, i)
+	}
+	return Holds(k.str, i)
+}
+
+// HoldsBody reports whether the state holds every fact of root body b,
+// that is, whether it still has that violation.
+func (k *ConflictKey) HoldsBody(b int) bool {
+	switch {
+	case k.held != nil:
+		return k.held[b>>6]&(1<<(b&63)) != 0
+	case k.bytes != nil:
+		return holdsBody(k.ix, k.bytes, b)
+	}
+	return holdsBody(k.ix, k.str, b)
+}
+
+// Involved reports whether the fact of bit i is involved in a violation
+// of the state (is in V_Σ(D)): the state holds it inside a root body it
+// holds whole.
+func (k *ConflictKey) Involved(i int) bool {
+	if !k.Holds(i) {
+		return false
+	}
+	bodies := k.ix.factBodies[k.ix.factOff[i]:k.ix.factOff[i+1]]
+	if k.held != nil {
+		for _, b := range bodies {
+			if k.held[b>>6]&(1<<(b&63)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, b := range bodies {
+		if k.HoldsBody(int(b)) {
+			return true
+		}
+	}
+	return false
+}
 
 // appendRootKey appends the root key to dst.
 func (ix *ConflictIndex) appendRootKey(dst []byte) []byte {

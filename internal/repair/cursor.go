@@ -10,7 +10,8 @@ import (
 
 // Cursor walks repairing sequences from the root one operation at a time,
 // for walkers that discard a state once they step past it (the random
-// walks of internal/sampling). Under TGDs a step is ChildInPlace.
+// walks of internal/sampling). Under TGDs a step is ChildInPlace, and the
+// walk's Definition 4 history is the cursor's, reused from walk to walk.
 //
 // Without TGDs a state is its conflict key (ConflictIndex), and a step
 // advances the key instead of a database: it clears the operation's bits,
@@ -25,15 +26,17 @@ import (
 // call after k steps catches it up in place by deleting the facts of
 // those k operations (the first read of a walk starts from a clone of the
 // sealed initial database or of the root violations), so a generator that
-// reads only the extensions builds nothing during a walk. Consistent
-// reads the held bodies: a key is consistent exactly when it holds no
-// root body.
+// reads only the extensions or the conflict key (State.ConflictKey, which
+// reads the cursor's key and held-body bitset in place) builds nothing
+// during a walk. Consistent reads the held bodies: a key is consistent
+// exactly when it holds no root body.
 //
 // The state is valid until the next Step or Reset, which reuse it; it must
 // not be stepped with Child. A Cursor is single-owner.
 type Cursor struct {
 	inst *Instance
-	s    *State // the current state
+	s    *State  // the current state
+	hist history // the walk's Definition 4 history, under TGDs
 
 	// The key walk, when Σ has no TGDs (ix != nil). st is the state the
 	// cursor hands out; held is the bitset of the root bodies the key
@@ -78,7 +81,11 @@ func (c *Cursor) Key() []byte { return c.key }
 // Reset moves the cursor back to the root and returns the root state.
 func (c *Cursor) Reset() *State {
 	if c.ix == nil {
+		// The walk's Definition 4 history lives in the cursor, which every
+		// ChildInPlace hands on, and reuses its storage walk after walk.
+		c.hist = history{c.hist.eliminated[:0], c.hist.added[:0], c.hist.removed[:0]}
 		c.s = c.inst.Root()
+		c.s.hist = &c.hist
 		return c.s
 	}
 	ix := c.ix

@@ -78,7 +78,7 @@ func TestQuickDeferredChildMatchesChild(t *testing.T) {
 					}
 					key = string(child)
 					twin = twin.Child(op)
-					def = def.DeferredChild(op, ix.AppendExtensions(nil, key))
+					def = def.DeferredChild(op, ix.AppendExtensions(nil, key), key)
 				}
 			}
 		}

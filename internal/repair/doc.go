@@ -13,12 +13,12 @@
 //     set, and the root extension list, all computed once and shared by
 //     every concurrent walker.
 //   - State: one repairing sequence with the database it produces and the
-//     incremental bookkeeping to check Definition 4 per step. States form
-//     a tree; Child builds the child in fresh storage and only reads the
-//     parent (databases are copy-on-write, bookkeeping is id-sorted
-//     slices) and is the reference transition of the tree engine;
-//     ChildInPlace hands the parent's storage on for walks under TGDs,
-//     which discard the parent.
+//     incremental bookkeeping to check Definition 4 per step (under TGDs
+//     only, behind a pointer). States form a tree; Child builds the child
+//     in fresh storage and only reads the parent (databases are
+//     copy-on-write, bookkeeping is id-sorted slices) and is the reference
+//     transition of the tree engine; ChildInPlace hands the parent's
+//     storage on for walks under TGDs, which discard the parent.
 //   - ConflictIndex and DeferredChild (conflict.go): TGD-free states as
 //     conflict keys. Every reachable database is the initial one minus
 //     some of the root's conflicted facts, so a ConflictIndex — built
@@ -27,15 +27,26 @@
 //     conflicted facts it still holds, derives a child's key by clearing
 //     the operation's bits, and a state's extensions by filtering the
 //     root's. DeferredChild makes the state in O(1) from its parent,
-//     operation and extension list for the DAG sweep; its database and
-//     violations are built from the root on first read.
+//     operation, extension list and key for the DAG sweep; its database
+//     and violations are built from the root on first read.
+//   - Keyed states (State.ConflictKey): every TGD-free state names its
+//     conflict key — a Cursor's state the cursor's key and held-body
+//     bitset, read in place; a DeferredChild the key the sweep handed it;
+//     a root the index's root key; a Child-built state a key derived from
+//     its database. A ConflictKey answers which conflicted facts the state
+//     holds, which root bodies it holds whole and which facts are involved
+//     in its violations, and the index maps bits to facts and bodies to
+//     bits (Fact, Bit, Body), so a generator reads V_Σ(D) without a
+//     violation set. ConflictIndex.Table holds tables that packages above
+//     derive once per index (the preference generator's weights).
 //   - Cursor (cursor.go): the walkers' step. Without TGDs it advances a
 //     conflict key, a bitset of held root bodies and the live extension
 //     list in place (O(bodies the operation touches + live extensions),
 //     no allocation once warm); its state's database and violations stay
 //     pending and catch up in place, by the operations taken since the
 //     last read, when a generator or caller reads them. Under TGDs a step
-//     is ChildInPlace.
+//     is ChildInPlace, and the walk's Definition 4 history is the
+//     cursor's, reused from walk to walk.
 //   - Walk / Survey / Validate (walk.go): a full-tree traversal, summary
 //     statistics, and an independent from-scratch transcription of
 //     Definition 4 that the property tests check the incremental State

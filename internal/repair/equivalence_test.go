@@ -71,20 +71,24 @@ func TestQuickIncrementalStateMatchesRecompute(t *testing.T) {
 			// The id-keyed bookkeeping must match the set difference with
 			// the initial database.
 			added, removed := s.Result().SymmetricDiff(inst.Initial())
-			if len(added) != len(s.added) || len(removed) != len(s.removed) {
+			var h history
+			if s.hist != nil {
+				h = *s.hist
+			}
+			if len(added) != len(h.added) || len(removed) != len(h.removed) {
 				t.Logf("seed %d: state %q bookkeeping added=%d/%d removed=%d/%d",
-					seed, s, len(s.added), len(added), len(s.removed), len(removed))
+					seed, s, len(h.added), len(added), len(h.removed), len(removed))
 				ok = false
 				return false
 			}
 			for _, f := range added {
-				if !s.added.Has(f) {
+				if !h.added.Has(f) {
 					ok = false
 					return false
 				}
 			}
 			for _, f := range removed {
-				if !s.removed.Has(f) {
+				if !h.removed.Has(f) {
 					ok = false
 					return false
 				}

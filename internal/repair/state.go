@@ -37,15 +37,24 @@ type State struct {
 	deferred   bool
 	db         *relation.Database     // D^s_i, owned by this state
 	violations *constraint.Violations // V(D^s_i, Σ)
-	// Definition 4 history, kept only when Σ has TGDs (without them
-	// admissible is never consulted).
-	eliminated idSet            // violations eliminated at steps ≤ i
-	added      relation.FactSet // facts inserted so far
-	removed    relation.FactSet // facts deleted so far
-	extensions []ops.Op         // cached valid extensions (nil until computed)
+	// hist is the Definition 4 history, kept only when Σ has TGDs
+	// (without them admissible is never consulted); nil is empty.
+	hist       *history
+	extensions []ops.Op // cached valid extensions (nil until computed)
+	// key is a DeferredChild's conflict key, the one its creator holds
+	// for it (see ConflictKey); empty on every other state.
+	key string
 	// cursor is set on the state a TGD-free Cursor hands out: its
 	// operations, database and violations live in the cursor.
 	cursor *Cursor
+}
+
+// history is a state's Definition 4 history under TGDs. It sits behind a
+// pointer so that TGD-free states, which never read it, do not carry it.
+type history struct {
+	eliminated idSet            // violations eliminated at steps ≤ i
+	added      relation.FactSet // facts inserted so far
+	removed    relation.FactSet // facts deleted so far
 }
 
 // idSet is a sorted set of violation ids; cloning is a single copy and
@@ -341,14 +350,18 @@ next:
 // admissible checks the non-local conditions of Definition 4 for appending
 // op to s (local justification is already guaranteed by JustifiedOps).
 func (s *State) admissible(op ops.Op) bool {
+	var h history
+	if s.hist != nil {
+		h = *s.hist
+	}
 	// No cancellation: an inserted fact must never have been removed and
 	// vice versa (condition 2).
 	for _, f := range op.Facts() {
 		if op.IsInsert() {
-			if s.removed.Has(f) {
+			if h.removed.Has(f) {
 				return false
 			}
-		} else if s.added.Has(f) {
+		} else if h.added.Has(f) {
 			return false
 		}
 	}
@@ -379,7 +392,7 @@ func (s *State) admissible(op ops.Op) bool {
 		introduced := constraint.IntroducedViolations(s.db, s.inst.sigma, s.violations, changed, op.IsInsert())
 		op.Undo(s.db, changed)
 		for _, v := range introduced {
-			if s.eliminated.has(v.ID()) {
+			if h.eliminated.has(v.ID()) {
 				return false
 			}
 		}
@@ -389,7 +402,7 @@ func (s *State) admissible(op ops.Op) bool {
 	// −G may strip the support of an earlier addition +F; every earlier
 	// addition op_i must remain justified w.r.t. D^s_{i-1} − H where H is
 	// the union of deletions applied after step i (now including G).
-	if op.IsDelete() && len(s.added) > 0 {
+	if op.IsDelete() && len(h.added) > 0 {
 		if !s.additionsStillJustified(op) {
 			return false
 		}
@@ -435,22 +448,23 @@ func (s *State) Child(op ops.Op) *State {
 	}
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
-	eliminated := s.eliminated.clone(len(gone))
-	for _, v := range gone {
-		eliminated = eliminated.insert(v.ID())
+	h := new(history)
+	if s.hist != nil {
+		*h = *s.hist
 	}
-
-	added := s.added
-	removed := s.removed
+	h.eliminated = h.eliminated.clone(len(gone))
+	for _, v := range gone {
+		h.eliminated = h.eliminated.insert(v.ID())
+	}
 	if op.IsInsert() {
-		added = s.added.Clone(op.Size())
+		h.added = h.added.Clone(op.Size())
 		for _, f := range op.Facts() {
-			added, _ = added.Insert(f)
+			h.added, _ = h.added.Insert(f)
 		}
 	} else {
-		removed = s.removed.Clone(op.Size())
+		h.removed = h.removed.Clone(op.Size())
 		for _, f := range op.Facts() {
-			removed, _ = removed.Insert(f)
+			h.removed, _ = h.removed.Insert(f)
 		}
 	}
 
@@ -461,9 +475,7 @@ func (s *State) Child(op ops.Op) *State {
 		depth:      s.depth + 1,
 		db:         db,
 		violations: after,
-		eliminated: eliminated,
-		added:      added,
-		removed:    removed,
+		hist:       h,
 	}
 }
 
@@ -472,8 +484,9 @@ func (s *State) Child(op ops.Op) *State {
 // receiver's database and violation set and updates them in place, and
 // extends the receiver's Definition 4 history in place. The receiver must
 // not be used after the call (its database is set to nil to surface
-// misuse early). Without TGDs it is Child: TGD-free walks step a Cursor,
-// which advances a conflict key instead of a database.
+// misuse early), and it hands its history on too. Without TGDs it is
+// Child: TGD-free walks step a Cursor, which advances a conflict key
+// instead of a database.
 func (s *State) ChildInPlace(op ops.Op) *State {
 	if !s.inst.sigma.HasTGDs() {
 		return s.Child(op)
@@ -482,19 +495,21 @@ func (s *State) ChildInPlace(op ops.Op) *State {
 	changed := op.Do(db)
 	after, gone := constraint.UpdateViolationsDiff(db, s.inst.sigma, s.violations, changed, op.IsInsert())
 
-	eliminated := s.eliminated
-	for _, v := range gone {
-		eliminated = eliminated.insert(v.ID())
+	h := s.hist
+	if h == nil {
+		h = new(history)
 	}
-	added, removed := s.added, s.removed
+	for _, v := range gone {
+		h.eliminated = h.eliminated.insert(v.ID())
+	}
 	for _, f := range op.Facts() {
 		if op.IsInsert() {
-			added, _ = added.Insert(f)
+			h.added, _ = h.added.Insert(f)
 		} else {
-			removed, _ = removed.Insert(f)
+			h.removed, _ = h.removed.Insert(f)
 		}
 	}
-	s.db = nil
+	s.db, s.hist = nil, nil
 	return &State{
 		inst:       s.inst,
 		parent:     s,
@@ -502,9 +517,7 @@ func (s *State) ChildInPlace(op ops.Op) *State {
 		depth:      s.depth + 1,
 		db:         db,
 		violations: after,
-		eliminated: eliminated,
-		added:      added,
-		removed:    removed,
+		hist:       h,
 	}
 }
 
@@ -535,19 +548,21 @@ func (s *State) deletionChild(op ops.Op, db *relation.Database, changed []relati
 }
 
 // DeferredChild returns the state reached by appending the deletion op to
-// s, with exts as its extension list, without building its database or
-// violation set: Σ must be TGD-free, and exts must be exactly the child's
-// valid extensions in canonical order (ConflictIndex.AppendExtensions
-// derives them from the child's conflict key). Creation is O(1), so Ops,
-// Key, String, Len and Extensions cost what they cost on any state, and a
-// generator that reads only the extensions never pays for the rest. The
-// first Result or Violations call builds both from the instance's root —
-// the initial database minus the facts the sequence deleted, and the root
-// violations minus those that lose a body fact — not through the parent
-// chain, so no ancestor is ever built. That first call writes the state,
-// so it must not race with another call on the same state; afterwards the
-// state is as immutable as any other. The state owns exts.
-func (s *State) DeferredChild(op ops.Op, exts []ops.Op) *State {
+// s, with conflict key key and extension list exts, without building its
+// database or violation set: Σ must be TGD-free, key must be the child's
+// conflict key (ConflictIndex.AppendChildKey derives it from s's), and
+// exts exactly the child's valid extensions in canonical order
+// (ConflictIndex.AppendExtensions derives them from key). Creation is
+// O(1), so Ops, Key, String, Len, Extensions and ConflictKey cost what
+// they cost on any state, and a generator that reads only those never
+// pays for the rest. The first Result or Violations call builds both from
+// the instance's root — the initial database minus the facts the sequence
+// deleted, and the root violations minus those that lose a body fact —
+// not through the parent chain, so no ancestor is ever built. That first
+// call writes the state, so it must not race with another call on the
+// same state; afterwards the state is as immutable as any other. The
+// state owns exts.
+func (s *State) DeferredChild(op ops.Op, exts []ops.Op, key string) *State {
 	return &State{
 		inst:       s.inst,
 		parent:     s,
@@ -556,7 +571,31 @@ func (s *State) DeferredChild(op ops.Op, exts []ops.Op) *State {
 		extensions: exts,
 		extsReady:  true,
 		deferred:   true,
+		key:        key,
 	}
+}
+
+// ConflictKey returns the state's conflict key (ConflictIndex); ok is false
+// when Σ has TGDs. A Cursor's state reads the cursor's key and held-body
+// bitset in place, a DeferredChild the key its creator gave it, and the
+// root the index's root key, so none of them builds a database for it.
+// Any other state (Child's) derives its key from its database.
+func (s *State) ConflictKey() (_ ConflictKey, ok bool) {
+	if c := s.cursor; c != nil {
+		return ConflictKey{ix: c.ix, bytes: c.key, held: c.held}, true
+	}
+	ix, err := s.inst.Conflicts()
+	if err != nil {
+		return ConflictKey{}, false
+	}
+	ix.walkIndex()
+	switch {
+	case s.key != "":
+		return ConflictKey{ix: ix, str: s.key}, true
+	case s.parent == nil:
+		return ConflictKey{ix: ix, str: ix.rootKey}, true
+	}
+	return ConflictKey{ix: ix, bytes: ix.appendKey(nil, s.Result())}, true
 }
 
 // materialize builds a DeferredChild's database and violation set from the

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -74,7 +75,8 @@ func referenceWalk(inst *repair.Instance, g markov.Generator, uniform bool, rng 
 // key cursor and a reference walk stepping State.Child from the same seed
 // must take the same operations, reach the same database and agree on
 // success (or fail with the same error), in walk mode and as the SNIS
-// proposal. The estimator's Run (or its error) must be identical at
+// proposal; and at every step of a walk markov.CheckedIntWeights must
+// weigh the cursor's state exactly as the Child state. The estimator's Run (or its error) must be identical at
 // Workers 1 and 3 in both semantics modes, for a conjunctive query (read
 // off the key through the witness lineage) and for one with negation
 // (evaluated on the caught-up result).
@@ -150,6 +152,29 @@ func FuzzKeyWalk(f *testing.F) {
 					t.Fatalf("uniform=%v walk %d on %v: key walk ends at %v (success %v), reference %v (%v)",
 						uniform, i, d, end.s.Result(), end.success, ref.Result(), ref.IsSuccessful())
 				}
+			}
+		}
+
+		// At every step of a walk the generator weighs the cursor's state,
+		// whose conflict key is read in place, exactly as it weighs the
+		// Child state.
+		for i := int64(0); i < 4; i++ {
+			rng := rand.New(rand.NewSource(seed + i))
+			cur := inst.NewCursor()
+			s, ref := cur.Reset(), inst.Root()
+			for {
+				exts := ref.Extensions()
+				ws, total, ok, err := markov.CheckedIntWeights(gen, s, s.Extensions(), nil)
+				rws, rtotal, rok, rerr := markov.CheckedIntWeights(gen, ref, exts, nil)
+				if !reflect.DeepEqual(ws, rws) || total != rtotal || ok != rok || fmt.Sprint(err) != fmt.Sprint(rerr) {
+					t.Fatalf("state %q on %v: cursor weighs %v (total %d, ok %v, err %v), Child %v (total %d, ok %v, err %v)",
+						ref, d, ws, total, ok, err, rws, rtotal, rok, rerr)
+				}
+				if len(exts) == 0 {
+					break
+				}
+				op := exts[rng.Intn(len(exts))]
+				s, ref = cur.Step(op), ref.Child(op)
 			}
 		}
 
